@@ -1,18 +1,18 @@
 """The two quantization routes and their cross-check.
 
 Route one counts lattice points of the polytope pieces with crossing-parity
-signs, after certifying that the signed indicator vanishes on every unbounded
-arrangement cell (so the result is an honest finite character).  Route two
-evaluates the Atiyah-Bott fixed-point sum as an exact rational character
-expression and reduces it by exact division.  ``qr_check`` runs both and
-reports their agreement weight by weight, which is the executable content of
-quantization commuting with reduction.
+signs; when some piece is unbounded it first certifies that the signed
+indicator vanishes on every unbounded arrangement cell (so the result is an
+honest finite character).  Route two evaluates the Atiyah-Bott fixed-point
+sum as an exact rational character expression and reduces it by exact
+division.  ``qr_check`` runs both and reports their agreement weight by
+weight, which is the executable content of quantization commuting with
+reduction.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Sequence
 
 from . import polyhedra, toricmodel
@@ -120,7 +120,7 @@ def _facet_hyperplanes(d: ToricLogData) -> list[Halfspace]:
     seen = {}
     for piece in d.pieces:
         for h in piece.region.halfspaces:
-            a, b = polyhedra._halfspace_int(h)
+            a, b = h.row
             lead = next(c for c in a if c)
             if lead < 0:
                 a, b = tuple(-c for c in a), -b
@@ -133,12 +133,14 @@ def _facet_hyperplanes(d: ToricLogData) -> list[Halfspace]:
 def quantize_lattice(d: ToricLogData, *, box_cap: int = polyhedra.BOX_VOLUME_CAP) -> Character:
     """Signed lattice count of the polytope pieces, as a finite character.
 
-    The arrangement of all facet hyperplanes is swept first: the signed
-    indicator sum is constant on every relatively open cell, so evaluating it
-    at one interior point per unbounded cell decides finiteness of the
-    support.  A nonzero value there raises :class:`InfiniteSupport`.  The
-    character is then accumulated over a box that contains every bounded
-    cell.
+    When some piece is unbounded, the arrangement of all facet hyperplanes is
+    swept first: the signed indicator sum is constant on every relatively
+    open cell, so evaluating it at one interior point per unbounded cell
+    decides finiteness of the support.  A nonzero value there raises
+    :class:`InfiniteSupport`.  When every piece is bounded the sweep is
+    skipped: a finite signed sum of indicators of bounded sets is zero on
+    every unbounded cell.  The character is then accumulated over a box that
+    contains every bounded cell.
     """
     o = _validated_signs(d)
     rank = d.rank
@@ -150,17 +152,17 @@ def quantize_lattice(d: ToricLogData, *, box_cap: int = polyhedra.BOX_VOLUME_CAP
         if sum(o):
             raise InfiniteSupport("facet-free pieces with nonzero total sign")
         return Character(rank, {})
-    cells = polyhedra.arrangement_cells_with_points(hyperplanes)
-    for cell, point in cells:
-        if cell.bounded:
-            continue
-        s = sum(
-            oj for oj, piece in zip(o, d.pieces) if piece.region.contains(point)
-        )
-        if s:
-            raise InfiniteSupport(
-                f"signed indicator is {s} on unbounded cell {cell.sign_vector}"
-            )
+    # The sweep's caps hold on both paths, with the sweep's error text.
+    polyhedra._arrangement_int(hyperplanes, "arrangement_cells")
+    if not all(polyhedra.is_bounded(piece.region) for piece in d.pieces):
+        for cell, point in polyhedra.arrangement_cells_with_points(hyperplanes):
+            if cell.bounded:
+                continue
+            s = _signed_indicator(d, o, point)
+            if s:
+                raise InfiniteSupport(
+                    f"signed indicator is {s} on unbounded cell {cell.sign_vector}"
+                )
     box = polyhedra.arrangement_vertex_box(hyperplanes)
     if box is None:
         return Character(rank, {})
@@ -181,8 +183,12 @@ def reduced_multiplicity(d: ToricLogData, weight: Iterable[int]) -> int:
     w = as_weight(weight)
     if len(w) != d.rank:
         raise RankMismatch(f"weight {w} does not match rank {d.rank}")
-    o = toricmodel.signs(d)
-    return sum(oj for oj, piece in zip(o, d.pieces) if piece.region.contains(w))
+    return _signed_indicator(d, toricmodel.signs(d), w)
+
+
+def _signed_indicator(d: ToricLogData, o: Sequence[int], point) -> int:
+    """Sum of the piece signs ``o`` over the pieces that contain the point."""
+    return sum(oj for oj, piece in zip(o, d.pieces) if piece.region.contains(point))
 
 
 def atiyah_bott(terms: Sequence[FixedPointTerm]) -> Character:
@@ -232,7 +238,7 @@ def fixed_terms_delzant(P: Polyhedron) -> list[FixedPointTerm]:
     if not polyhedra.is_bounded(P):
         raise Unbounded("fixed-point data needs a bounded polytope")
     rank = P.rank
-    facets = sorted(set(polyhedra._halfspace_int(h) for h in P.halfspaces))
+    facets = sorted(set(h.row for h in P.halfspaces))
     out = []
     for v in polyhedra.vertices(P):
         active = [
@@ -301,12 +307,14 @@ def mincoupling_index(base_degree: int, fibre: Character) -> SU2Char:
 
 
 def _shell(weights: Iterable[Weight], rank: int) -> set[Weight]:
-    """All lattice points within Chebyshev distance 1 of the given set."""
-    out: set[Weight] = set()
-    offsets = list(product((-1, 0, 1), repeat=rank))
-    for w in weights:
-        for off in offsets:
-            out.add(tuple(a + b for a, b in zip(w, off)))
+    """All lattice points within Chebyshev distance 1 of the given set.
+
+    The unit cube is the sum of the unit segments of the axes, so the set is
+    grown by one step along each axis in turn.
+    """
+    out: set[Weight] = set(weights)
+    for i in range(rank):
+        out |= {w[:i] + (w[i] + s,) + w[i + 1:] for w in out for s in (-1, 1)}
     return out
 
 
@@ -383,13 +391,14 @@ def qr_check(
             }
             fp_char = Character(rank, attributed)
     support = set(lattice_char.support()) | set(fp_char.support())
-    table_domain = sorted(_shell(support, rank)) if support else []
+    table_domain = sorted(_shell(support, rank))
+    o = toricmodel.signs(d)
     table = tuple(
         (
             w,
-            lattice_char.multiplicity(w),
-            fp_char.multiplicity(w),
-            reduced_multiplicity(d, w),
+            lattice_char.terms.get(w, 0),
+            fp_char.terms.get(w, 0),
+            _signed_indicator(d, o, w),
         )
         for w in table_domain
     )

@@ -2,17 +2,20 @@
 
 Everything is decided over the rationals with no tolerances: feasibility by
 Fourier-Motzkin elimination, boundedness by an extreme-ray search on the
-recession cone, vertices by basic-solution enumeration, lattice points by
-brute force over a box, and strong convexity by Caratheodory-style subset
-checks.  Hard caps keep inputs at the intended desk scale; exceeding them
-raises :class:`SizeLimit` rather than silently truncating.
+recession cone, vertices by basic-solution enumeration, lattice points by a
+scanline over a box (the last coordinate's integer interval in closed form),
+and strong convexity by Caratheodory-style subset checks.  Each halfspace is
+compiled once, when it is built, to a primitive integer row, and the kernels
+work on those rows.  Hard caps keep inputs at the intended desk scale;
+exceeding them raises :class:`SizeLimit` rather than silently truncating.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import SizeLimit
@@ -38,7 +41,12 @@ def _frac(x) -> Fraction:
 
 @dataclass(frozen=True)
 class Halfspace:
-    """The closed halfspace {x : <normal, x> >= offset}."""
+    """The closed halfspace {x : <normal, x> >= offset}.
+
+    ``row`` is the same halfspace as coprime integers ``(a, b)`` with
+    a.x >= b, computed once here.  It is a plain attribute, not a field, so
+    equality, hashing, repr and the JSON form see only normal and offset.
+    """
 
     normal: tuple[Fraction, ...]
     offset: Fraction
@@ -47,8 +55,11 @@ class Halfspace:
         n = tuple(_frac(c) for c in normal)
         if not any(n):
             raise ValueError("halfspace normal must be nonzero")
+        off = _frac(offset)
+        *a, b = _primitive(n + (off,))
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", _frac(offset))
+        object.__setattr__(self, "offset", off)
+        object.__setattr__(self, "row", (tuple(a), b))
 
     def to_jsonable(self) -> dict:
         return {
@@ -81,12 +92,24 @@ class Polyhedron:
         object.__setattr__(self, "halfspaces", hs)
 
     def contains(self, point: Sequence) -> bool:
-        p = tuple(_frac(c) for c in point)
+        """Exact membership test; coordinates may be int, Fraction or str.
+
+        A rational point is scaled by the least common multiple of its
+        denominators, so every halfspace is checked in integers.
+        """
+        p = tuple(point)
+        scale = 1
+        if not all(type(c) is int for c in p):
+            q = [_frac(c) for c in p]
+            scale = lcm(*(c.denominator for c in q))
+            p = tuple(c.numerator * (scale // c.denominator) for c in q)
         if len(p) != self.rank:
             raise ValueError(f"point {point!r} does not match rank {self.rank}")
-        return all(
-            sum(a * x for a, x in zip(h.normal, p)) >= h.offset for h in self.halfspaces
-        )
+        for h in self.halfspaces:
+            a, b = h.row
+            if sum(map(mul, a, p)) < b * scale:
+                return False
+        return True
 
     def to_jsonable(self) -> dict:
         return {
@@ -128,18 +151,6 @@ def _normalize_row(coeffs: tuple[int, ...], rhs: int, kind: int):
         coeffs = tuple(c // g for c in coeffs)
         rhs = rhs // g
     return (coeffs, rhs, kind)
-
-
-def _halfspace_int(h: Halfspace) -> tuple[tuple[int, ...], int]:
-    """Scale a rational halfspace to coprime integers (a, b) with a.x >= b."""
-    denoms = [c.denominator for c in h.normal] + [h.offset.denominator]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    a = tuple(int(c * lcm) for c in h.normal)
-    b = int(h.offset * lcm)
-    (a, b, _) = _normalize_row(a, b, _GE)
-    return a, b
 
 
 def _compress(rows, nvars):
@@ -290,15 +301,11 @@ def _kernel_basis(rows_int, n):
 
 
 def _primitive(vec) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector (same direction)."""
-    lcm = 1
-    for c in vec:
-        d = Fraction(c).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(Fraction(c) * lcm) for c in vec]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
+    """Scale a vector of ints and Fractions to a primitive integer vector
+    (same direction)."""
+    scale = lcm(*(c.denominator for c in vec))
+    ints = [c.numerator * (scale // c.denominator) for c in vec]
+    g = gcd(*ints)
     if g > 1:
         ints = [c // g for c in ints]
     return tuple(ints)
@@ -338,7 +345,7 @@ def _check_caps(P: Polyhedron, op: str) -> None:
 
 
 def _ge_rows(P: Polyhedron):
-    return [(a, b, _GE) for a, b in map(_halfspace_int, P.halfspaces)]
+    return [h.row + (_GE,) for h in P.halfspaces]
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +368,7 @@ def is_bounded(P: Polyhedron) -> bool:
     _check_caps(P, "is_bounded")
     if is_empty(P):
         return True
-    rows = [a for a, _ in map(_halfspace_int, P.halfspaces)]
-    return _cone_ray(rows, P.rank) is None
+    return _cone_ray([h.row[0] for h in P.halfspaces], P.rank) is None
 
 
 def vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
@@ -372,7 +378,7 @@ def vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
     satisfies every constraint.
     """
     _check_caps(P, "vertices")
-    ints = [_halfspace_int(h) for h in P.halfspaces]
+    ints = [h.row for h in P.halfspaces]
     found = set()
     for subset in combinations(ints, P.rank):
         sol = _solve_square([a for a, _ in subset], [b for _, b in subset], P.rank)
@@ -392,7 +398,9 @@ def lattice_points(
     """All integer points of the box that lie in P, in lexicographic order.
 
     The box is a product of integer intervals [lo, hi], one per coordinate.
-    Boxes with volume beyond ``volume_cap`` are rejected.
+    Boxes with volume beyond ``volume_cap`` are rejected.  The scan walks the
+    first rank-1 coordinates of the box and emits, for each, the integer
+    interval of the last coordinate that P cuts out, in closed form.
     """
     _check_caps(P, "lattice_points")
     if len(box) != P.rank:
@@ -404,11 +412,23 @@ def lattice_points(
         raise SizeLimit(f"lattice_points: box volume {volume} exceeds cap {volume_cap}")
     if volume == 0:
         return []
-    ints = [_halfspace_int(h) for h in P.halfspaces]
+    rows = [h.row for h in P.halfspaces]
+    *outer, (last_lo, last_hi) = box
     out = []
-    for pt in product(*[range(lo, hi + 1) for lo, hi in box]):
-        if all(sum(a * x for a, x in zip(row, pt)) >= b for row, b in ints):
-            out.append(pt)
+    for head in product(*[range(lo, hi + 1) for lo, hi in outer]):
+        start, stop = last_lo, last_hi
+        for a, b in rows:
+            # a[-1] * x_last >= rest
+            rest = b - sum(map(mul, a, head))
+            c = a[-1]
+            if c > 0:
+                start = max(start, -(-rest // c))
+            elif c < 0:
+                stop = min(stop, rest // c)
+            elif rest > 0:
+                break
+        else:
+            out.extend(head + (x,) for x in range(start, stop + 1))
     return out
 
 
@@ -517,7 +537,7 @@ def _arrangement_int(hyperplanes: Sequence[Halfspace], op: str):
     for h in hyperplanes:
         if len(h.normal) != rank:
             raise ValueError("hyperplanes must share a common rank")
-    return [_halfspace_int(h) for h in hyperplanes], rank
+    return [h.row for h in hyperplanes], rank
 
 
 def arrangement_cells(hyperplanes: Sequence[Halfspace]) -> list[Cell]:

@@ -132,6 +132,27 @@ class TestQuantizeCommand:
     def test_not_proper_exit_2(self, tmp_path, capsys):
         assert run(tmp_path, "quantize", NOT_PROPER_CONFIG) == 2
 
+    def test_hyperplane_cap_error_text(self, tmp_path, capsys):
+        normals = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, -1), (-1, 1),
+                   (-1, -1), (2, 1), (1, 2), (-2, 1), (-1, -2), (2, -1)]
+        config = {
+            "kind": "delzant",
+            "payload": {
+                "rank": 2,
+                "halfspaces": [
+                    {"normal": [f"{a}/1", f"{b}/1"], "offset": "-3/1"} for a, b in normals
+                ],
+            },
+        }
+        code, payload = run_json(tmp_path, capsys, "quantize", config)
+        assert code == 2
+        assert payload == {
+            "error": {
+                "type": "SizeLimit",
+                "message": "arrangement_cells: 13 hyperplanes exceed cap 12",
+            }
+        }
+
     def test_box_cap_flag(self, tmp_path, capsys):
         code, payload = run_json(
             tmp_path, capsys, "quantize", square_config(2), "--box-cap", "3"

@@ -1,11 +1,15 @@
 """Tests for the two quantization routes and the cross-check harness."""
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logq import (
     Character,
+    DivisorWall,
     FixedPointTerm,
     Halfspace,
     InfiniteSupport,
@@ -15,6 +19,7 @@ from logq import (
     Polyhedron,
     PolytopePiece,
     RankMismatch,
+    SizeLimit,
     SU2Char,
     ToricLogData,
     atiyah_bott,
@@ -31,6 +36,7 @@ from logq import (
     su2_decompose,
     weyl_char,
 )
+from logq import indexcalc, polyhedra
 
 
 def rank1(mapping):
@@ -133,6 +139,114 @@ class TestQuantizeLattice:
 
     def test_single_point_piece(self):
         assert quantize_lattice(delzant(interval(2, 2))) == rank1({2: 1})
+
+
+def two_sided(outer, inner):
+    """Pieces ``outer`` (sign +) and ``inner`` (sign -) on the two sides of a wall."""
+    return ToricLogData(
+        rank=outer.rank,
+        components=("A", "B"),
+        walls=(DivisorWall("w", (1,) + (0,) * (outer.rank - 1), ("A", "B")),),
+        pieces=(PolytopePiece("A", outer), PolytopePiece("B", inner)),
+        base_component="A",
+    )
+
+
+def no_sweep(*args, **kwargs):
+    raise AssertionError("the arrangement sweep ran")
+
+
+class TestSweepSkip:
+    def test_outer_box_minus_inner_box(self, monkeypatch):
+        monkeypatch.setattr(polyhedra, "arrangement_cells_with_points", no_sweep)
+        d = two_sided(rect(0, 4, -1, 3), rect(1, 2, 0, Fraction(5, 2)))
+        expected = Character(
+            2,
+            {
+                (x, y): 1 - (1 <= x <= 2 and 0 <= y <= 2)
+                for x in range(0, 5)
+                for y in range(-1, 4)
+            },
+        )
+        assert quantize_lattice(d) == expected
+        report = qr_check(d, [])
+        assert [c for w, a, b, c in report.per_weight_table] == [
+            expected.multiplicity(w) for w, *_ in report.per_weight_table
+        ]
+
+    def test_inner_piece_sticking_out(self, monkeypatch):
+        monkeypatch.setattr(polyhedra, "arrangement_cells_with_points", no_sweep)
+        d = two_sided(interval(0, 3), interval(2, 6))
+        assert quantize_lattice(d) == rank1({0: 1, 1: 1, 4: -1, 5: -1, 6: -1})
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda r: st.lists(
+                st.tuples(st.integers(-6, 2), st.integers(1, 6), st.integers(1, 2)),
+                min_size=2 * r,
+                max_size=2 * r,
+            )
+        )
+    )
+    def test_bounded_boxes_match_brute_force(self, bounds):
+        # Two boxes with rational faces, signs + and -: [lo, lo + width] / den.
+        rank = len(bounds) // 2
+        boxes = [bounds[:rank], bounds[rank:]]
+
+        def box_poly(sides):
+            hs = []
+            for i, (lo, width, den) in enumerate(sides):
+                e = tuple(int(j == i) for j in range(rank))
+                hs.append(Halfspace(e, Fraction(lo, den)))
+                hs.append(Halfspace(tuple(-c for c in e), -Fraction(lo + width, den)))
+            return Polyhedron(rank, hs)
+
+        def inside(sides, pt):
+            return all(lo <= x * den <= lo + width for (lo, width, den), x in zip(sides, pt))
+
+        expected = Character(
+            rank,
+            {
+                pt: inside(boxes[0], pt) - inside(boxes[1], pt)
+                for pt in product(range(-6, 9), repeat=rank)
+            },
+        )
+        d = two_sided(box_poly(boxes[0]), box_poly(boxes[1]))
+        assert quantize_lattice(d) == expected
+
+    def test_unbounded_piece_still_swept(self):
+        half_plane = Polyhedron(2, [Halfspace((1, 0), 0)])
+        with pytest.raises(InfiniteSupport):
+            quantize_lattice(two_sided(rect(0, 2, 0, 2), half_plane))
+
+    def test_hyperplane_cap_keeps_sweep_error_text(self):
+        normals = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, -1), (-1, 1),
+                   (-1, -1), (2, 1), (1, 2), (-2, 1), (-1, -2), (2, -1)]
+        d = delzant(Polyhedron(2, [Halfspace(n, -3) for n in normals]))
+        with pytest.raises(SizeLimit) as info:
+            quantize_lattice(d)
+        assert str(info.value) == "arrangement_cells: 13 hyperplanes exceed cap 12"
+
+
+class TestShell:
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda r: st.tuples(
+                st.just(r),
+                st.sets(st.tuples(*[st.integers(-3, 3)] * r), max_size=6),
+            )
+        )
+    )
+    def test_matches_cube_offsets(self, case):
+        rank, weights = case
+        expected = {
+            tuple(a + b for a, b in zip(w, off))
+            for w in weights
+            for off in product((-1, 0, 1), repeat=rank)
+        }
+        assert indexcalc._shell(weights, rank) == expected
 
 
 class TestReducedMultiplicity:

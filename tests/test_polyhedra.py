@@ -1,7 +1,10 @@
 """Exact polyhedral geometry tests."""
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logq import (
     Cell,
@@ -165,6 +168,86 @@ class TestLatticePoints:
         )
 
 
+    def test_box_cap_counts_box_volume_not_points(self):
+        point = rect(0, 0, 0, 0)
+        box = [(-2, 2), (-2, 2)]  # volume 25, one point inside
+        with pytest.raises(SizeLimit, match="box volume 25 exceeds cap 24"):
+            lattice_points(point, box, volume_cap=24)
+        assert lattice_points(point, box, volume_cap=25) == [(0, 0)]
+        empty = Polyhedron(2, [Halfspace((1, 0), 1), Halfspace((-1, 0), 0)])
+        with pytest.raises(SizeLimit):
+            lattice_points(empty, box, volume_cap=24)
+
+    def test_empty_box_interval(self):
+        assert lattice_points(rect(0, 2, 0, 2), [(0, 2), (1, 0)]) == []
+        assert lattice_points(rect(0, 2, 0, 2), [(3, 2), (0, 2)]) == []
+
+
+# Random polyhedra of rank 1-3: a few halfspaces with small normals and
+# rational offsets, so both bounded and unbounded pieces (and empty ones) occur.
+_small_rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def _polyhedron(draw, rank):
+    normals = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank).filter(any)
+    hs = draw(st.lists(st.builds(Halfspace, normals, _small_rational), max_size=6))
+    return Polyhedron(rank, hs)
+
+
+@st.composite
+def _polyhedron_and_box(draw):
+    rank = draw(st.integers(1, 3))
+    P = draw(_polyhedron(rank))
+    box = []
+    for _ in range(rank):
+        lo = draw(st.integers(-4, 3))
+        box.append((lo, lo + draw(st.integers(-1, 5))))  # hi = lo - 1 is an empty interval
+    return P, box
+
+
+def _fraction_member(P, point):
+    """Direct Fraction evaluation of every halfspace, independent of its row."""
+    return all(
+        sum(a * Fraction(x) for a, x in zip(h.normal, point)) >= h.offset
+        for h in P.halfspaces
+    )
+
+
+class TestScanlineOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(_polyhedron_and_box())
+    def test_lattice_points_match_box_filter(self, case):
+        P, box = case
+        expected = [
+            pt
+            for pt in product(*[range(lo, hi + 1) for lo, hi in box])
+            if _fraction_member(P, pt)
+        ]
+        assert lattice_points(P, box) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda r: st.tuples(
+                _polyhedron(r), st.lists(_small_rational, min_size=r, max_size=r)
+            )
+        )
+    )
+    def test_contains_matches_fraction_evaluation(self, case):
+        P, point = case
+        assert P.contains(point) == _fraction_member(P, point)
+        assert P.contains([str(c) for c in point]) == _fraction_member(P, point)
+
+    def test_contains_rejects_floats(self):
+        with pytest.raises(TypeError):
+            rect(0, 2, 0, 2).contains((0.5, 1))
+
+    def test_contains_rank_mismatch(self):
+        with pytest.raises(ValueError):
+            rect(0, 2, 0, 2).contains((1,))
+
+
 class TestStronglyConvex:
     def test_opposite_rays(self):
         # witness: (1/2) * (+1) + (1/2) * (-1) == 0
@@ -260,6 +343,16 @@ class TestHalfspaceValidation:
     def test_rank_mismatch_in_polyhedron(self):
         with pytest.raises(ValueError):
             Polyhedron(2, [Halfspace((1,), 0)])
+
+    def test_integer_row_is_primitive(self):
+        assert Halfspace((Fraction(1, 2), -1), Fraction(3, 4)).row == ((2, -4), 3)
+        assert Halfspace((2, 4), 6).row == ((1, 2), 3)
+        assert Halfspace((0, -3), 0).row == ((0, -1), 0)
+
+    def test_row_stays_out_of_equality_and_repr(self):
+        assert Halfspace((2,), 0) != Halfspace((1,), 0)  # same row, other normal
+        assert Halfspace((2,), 0) == Halfspace((Fraction(4, 2),), "0")
+        assert "row" not in repr(Halfspace((2,), 0))
 
     def test_json_round_trip(self):
         P = Polyhedron(2, [Halfspace((Fraction(1, 2), -1), Fraction(3, 4))])
