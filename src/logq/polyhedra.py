@@ -34,6 +34,8 @@ _ZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
+    if type(x) is Fraction:
+        return x  # immutable, so no copy is needed
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact polyhedral data; use Fraction or str")
     return Fraction(x)
@@ -303,7 +305,7 @@ def _kernel_basis(rows_int, n):
 def _primitive(vec) -> tuple[int, ...]:
     """Scale a vector of ints and Fractions to a primitive integer vector
     (same direction)."""
-    scale = lcm(*(c.denominator for c in vec))
+    scale = lcm(*[c.denominator for c in vec])
     ints = [c.numerator * (scale // c.denominator) for c in vec]
     g = gcd(*ints)
     if g > 1:
