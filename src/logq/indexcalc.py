@@ -27,7 +27,7 @@ from .charring import (
     rational_to_laurent,
     weyl_char,
 )
-from .errors import InfiniteSupport, NotDelzant, RankMismatch, SizeLimit, Unbounded
+from .errors import InfiniteSupport, NotDelzant, RankMismatch, Unbounded
 from .jsonio import decode_int, encode_int
 from .polyhedra import Halfspace, Polyhedron
 from .toricmodel import ToricLogData
@@ -249,17 +249,17 @@ def fixed_terms_delzant(P: Polyhedron) -> list[FixedPointTerm]:
         edges = []
         for i in range(rank):
             others = [a for j, (a, _) in enumerate(active) if j != i]
-            kernel = polyhedra._kernel_basis(others, rank)
-            if len(kernel) != 1:
+            e = polyhedra._cross(others, rank)
+            if not any(e):
                 raise NotDelzant(f"vertex {v} has dependent active facets")
-            e = polyhedra._primitive(kernel[0])
+            e = polyhedra._primitive(e)
             inward = sum(x * c for x, c in zip(active[i][0], e))
             if inward == 0:
                 raise NotDelzant(f"vertex {v} has dependent active facets")
             if inward < 0:
                 e = tuple(-c for c in e)
             edges.append(e)
-        if abs(_det_int(edges)) != 1:
+        if abs(polyhedra._det(edges)) != 1:
             raise NotDelzant(f"vertex {v} has non-unimodular edge generators {edges}")
         if any(c.denominator != 1 for c in v):
             raise NotDelzant(f"vertex {v} is not in the weight lattice")
@@ -267,18 +267,6 @@ def fixed_terms_delzant(P: Polyhedron) -> list[FixedPointTerm]:
         out.append(FixedPointTerm(1, mu, edges))
     out.sort(key=lambda t: t.mu)
     return out
-
-
-def _det_int(rows: Sequence[tuple[int, ...]]) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    raise SizeLimit(f"determinant of size {n} exceeds the rank cap")
 
 
 def bwb(k: int) -> SU2Char:

@@ -40,7 +40,10 @@ def decode_fraction(obj) -> Fraction:
     if isinstance(obj, str):
         if obj.startswith("int:"):
             return Fraction(int(obj[4:]))
-        return Fraction(obj)  # accepts "p/q" and plain "p"
+        try:
+            return Fraction(obj)  # accepts "p/q" and plain "p"
+        except ZeroDivisionError as exc:
+            raise ValueError(f"rational {obj!r} has a zero denominator") from exc
     raise ValueError(f"expected a rational, got {obj!r}")
 
 

@@ -1,8 +1,9 @@
 """Exact rational polyhedral geometry at desk scale.
 
 Everything is decided over the rationals with no tolerances: feasibility by
-Fourier-Motzkin elimination, boundedness by an extreme-ray search on the
-recession cone, vertices by basic-solution enumeration, lattice points by a
+Fourier-Motzkin elimination, boundedness by the sign vectors of the
+candidate extreme rays of the recession cone (computed once per arrangement
+in the cell sweep), vertices by basic-solution enumeration, lattice points by a
 scanline over a box (the last coordinate's integer interval in closed form),
 and strong convexity by Caratheodory-style subset checks.  Each halfspace is
 compiled once, when it is built, to a primitive integer row, and the kernels
@@ -39,6 +40,12 @@ def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact polyhedral data; use Fraction or str")
     return Fraction(x)
+
+
+def _integer_point(point):
+    """A rational point as (integer numerators, common positive denominator)."""
+    q = lcm(*[c.denominator for c in point])
+    return tuple(c.numerator * (q // c.denominator) for c in point), q
 
 
 @dataclass(frozen=True)
@@ -102,9 +109,7 @@ class Polyhedron:
         p = tuple(point)
         scale = 1
         if not all(type(c) is int for c in p):
-            q = [_frac(c) for c in p]
-            scale = lcm(*(c.denominator for c in q))
-            p = tuple(c.numerator * (scale // c.denominator) for c in q)
+            p, scale = _integer_point([_frac(c) for c in p])
         if len(p) != self.rank:
             raise ValueError(f"point {point!r} does not match rank {self.rank}")
         for h in self.halfspaces:
@@ -145,10 +150,7 @@ class Cell:
 
 
 def _normalize_row(coeffs: tuple[int, ...], rhs: int, kind: int):
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    g = gcd(g, abs(rhs))
+    g = gcd(*coeffs, rhs)
     if g > 1:
         coeffs = tuple(c // g for c in coeffs)
         rhs = rhs // g
@@ -285,23 +287,6 @@ def _solve_square(normals, rhs, n):
     return tuple(sol)
 
 
-def _kernel_basis(rows_int, n):
-    """Basis of the common kernel of the given integer row vectors."""
-    if not rows_int:
-        return [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
-    rows = [[Fraction(c) for c in a] for a in rows_int]
-    pivots = _row_echelon(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [_ZERO] * n
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
-        basis.append(tuple(vec))
-    return basis
-
-
 def _primitive(vec) -> tuple[int, ...]:
     """Scale a vector of ints and Fractions to a primitive integer vector
     (same direction)."""
@@ -313,28 +298,54 @@ def _primitive(vec) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _cone_ray(rows_int, n):
-    """A nonzero integer ray of the cone {d : row . d >= 0 for all rows},
-    or None when the cone is the origin.
+def _det(m) -> int:
+    """Determinant of a small square integer matrix, by Laplace expansion."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * c * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j, c in enumerate(m[0])
+        if c
+    )
 
-    If the rows do not span, any common-kernel direction is a line in the
-    cone.  Otherwise the cone is pointed and a nonzero cone needs an extreme
-    ray, which has n-1 independent active constraints, so it is found among
-    kernels of (n-1)-subsets.
+
+def _cross(rows, n) -> tuple[int, ...]:
+    """Generalized cross product of n-1 integer rows: orthogonal to each row,
+    and nonzero iff the rows are independent."""
+    return tuple(
+        (-1) ** j * _det([a[:j] + a[j + 1:] for a in rows]) for j in range(n)
+    )
+
+
+def _ray_masks(normals, n):
+    """Sign vectors of the candidate extreme rays of the recession cones cut
+    out by the normals, or None when the normals do not span.
+
+    If the normals do not span, a common-kernel line lies in every such cone.
+    Otherwise each cone {d : sign(a_i . d) in allowed_i} is pointed, and a
+    nonzero one has an extreme ray with n-1 independent active normals: the
+    cross product of n-1 normals, up to sign.  Each candidate ray d is stored
+    as the pair (positive mask, negative mask) of the normals' signs on d;
+    both d and -d are kept.
     """
-    rows = sorted(set(_normalize_row(tuple(r), 0, _GE)[0] for r in rows_int if any(r)))
-    kern = _kernel_basis(rows, n)
-    if kern:
-        return _primitive(kern[0])
-    for subset in combinations(rows, n - 1):
-        basis = _kernel_basis(list(subset), n)
-        if len(basis) != 1:
+    dirs = sorted({max(a, tuple(-c for c in a)) for a in normals})
+    masks = set()
+    for subset in combinations(dirs, n - 1):
+        d = _cross(subset, n)
+        if not any(d):
             continue
-        d = _primitive(basis[0])
-        for cand in (d, tuple(-c for c in d)):
-            if all(sum(a * x for a, x in zip(row, cand)) >= 0 for row in rows):
-                return cand
-    return None
+        pos = neg = 0
+        for i, a in enumerate(normals):
+            v = sum(map(mul, a, d))
+            if v > 0:
+                pos |= 1 << i
+            elif v < 0:
+                neg |= 1 << i
+        if not (pos or neg):
+            return None  # d is orthogonal to every normal
+        masks.add((pos, neg))
+        masks.add((neg, pos))
+    return masks or None
 
 
 def _check_caps(P: Polyhedron, op: str) -> None:
@@ -370,7 +381,9 @@ def is_bounded(P: Polyhedron) -> bool:
     _check_caps(P, "is_bounded")
     if is_empty(P):
         return True
-    return _cone_ray([h.row[0] for h in P.halfspaces], P.rank) is None
+    # Unbounded iff some ray d has a . d >= 0 for every normal a.
+    masks = _ray_masks([h.row[0] for h in P.halfspaces], P.rank)
+    return masks is not None and all(neg for _, neg in masks)
 
 
 def vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
@@ -473,55 +486,72 @@ def strongly_convex(vectors: Sequence[Sequence]) -> bool:
 # Hyperplane arrangements.
 
 
-def _sign_rows(hps_int, sign_vector):
-    rows = []
-    for (a, b), s in zip(hps_int, sign_vector):
-        if s > 0:
-            rows.append((a, b, _GT))
-        elif s < 0:
-            rows.append((tuple(-c for c in a), -b, _GT))
-        else:
-            rows.append((a, b, _EQ))
-    return rows
-
-
 def _enumerate_cells(hps_int, rank):
     """All feasible sign vectors with a witness interior point and bounded flag.
 
     Hyperplanes are inserted one at a time; a partial sign vector that is
     already infeasible cannot become feasible, so pruning leaves the output
-    equal to the full 3^H sweep.  Each live cell carries a witness point,
-    which settles the matching child sign without an LP call.
+    equal to the full 3^H sweep.  Each live cell carries an integer witness
+    (numerators, denominator) and is split with one FM call: a witness
+    strictly on side s0 of the new hyperplane settles that child, and the
+    relatively open cell meets the hyperplane iff it meets side -s0, where the
+    segment between the two witnesses crosses the hyperplane in closed form.
+    A witness on the hyperplane settles the 0 child, and then either both
+    sides are feasible or neither is.
+
+    A cell is bounded iff its closure's recession cone is the origin.  The
+    candidate extreme rays of every such cone are computed once for the
+    arrangement (:func:`_ray_masks`); a cell is unbounded iff some ray's sign
+    vector agrees with the cell's wherever the ray's is nonzero.
     """
-    live = [((), tuple([_ZERO] * rank))]
+    choices = [
+        {1: (a, b, _GT), -1: (tuple(-c for c in a), -b, _GT), 0: (a, b, _EQ)}
+        for a, b in hps_int
+    ]
+    live = [((), (0,) * rank, 1)]
     for idx, (a, b) in enumerate(hps_int):
-        prefix = hps_int[: idx + 1]
+        side = choices[idx]
         nxt = []
-        for sv, pt in live:
-            val = sum(Fraction(c) * x for c, x in zip(a, pt))
-            pt_sign = 1 if val > b else (-1 if val < b else 0)
-            for s in (-1, 0, 1):
-                if s == pt_sign:
-                    nxt.append((sv + (s,), pt))
-                    continue
-                cand = sv + (s,)
-                witness = _fm_feasible_point(_sign_rows(prefix, cand), rank)
-                if witness is not None:
-                    nxt.append((cand, witness))
+        for sv, p, q in live:
+            rows = [c[s] for c, s in zip(choices, sv)]
+            u = sum(map(mul, a, p)) - b * q
+            if not u:
+                nxt.append((sv + (0,), p, q))
+                for s in (-1, 1):
+                    y = _fm_feasible_point(rows + [side[s]], rank)
+                    if y is None:
+                        break
+                    nxt.append((sv + (s,), *_integer_point(y)))
+                continue
+            s0 = 1 if u > 0 else -1
+            nxt.append((sv + (s0,), p, q))
+            y = _fm_feasible_point(rows + [side[-s0]], rank)
+            if y is None:
+                continue
+            p2, q2 = _integer_point(y)
+            nxt.append((sv + (-s0,), p2, q2))
+            # w and u have opposite signs, so the crossing's denominator is nonzero.
+            w = sum(map(mul, a, p2)) - b * q2
+            num = [w * x - u * x2 for x, x2 in zip(p, p2)]
+            den = w * q - u * q2
+            g = gcd(den, *num)
+            if den < 0:
+                g = -g
+            nxt.append((sv + (0,), tuple(c // g for c in num), den // g))
         live = nxt
+    masks = _ray_masks([a for a, _ in hps_int], rank)
     out = []
-    for sv, pt in live:
-        rows = []
-        for (a, _), s in zip(hps_int, sv):
-            if s > 0:
-                rows.append(a)
-            elif s < 0:
-                rows.append(tuple(-c for c in a))
-            else:
-                rows.append(a)
-                rows.append(tuple(-c for c in a))
-        bounded = _cone_ray(rows, rank) is None
-        out.append((sv, pt, bounded))
+    for sv, p, q in live:
+        bounded = masks is not None
+        if bounded:
+            off_pos = off_neg = 0  # hyperplanes where a ray may not be + / -
+            for i, s in enumerate(sv):
+                if s <= 0:
+                    off_pos |= 1 << i
+                if s >= 0:
+                    off_neg |= 1 << i
+            bounded = all(rp & off_pos or rn & off_neg for rp, rn in masks)
+        out.append((sv, tuple(Fraction(c, q) for c in p), bounded))
     out.sort(key=lambda t: t[0])
     return out
 

@@ -96,6 +96,8 @@ class ToricLogData:
         base_component: str = "",
         global_sign: int = 1,
     ):
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+            raise ValueError(f"rank must be a positive integer, got {rank!r}")
         comps = tuple(str(c) for c in components)
         if len(set(comps)) != len(comps):
             raise ValueError("component ids must be unique")

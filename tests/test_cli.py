@@ -103,6 +103,33 @@ class TestValidateCommand:
     def test_missing_config_exit_3(self, capsys):
         assert main(["validate"]) == 3
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                {"kind": "delzant", "payload": {"rank": 1, "halfspaces": [
+                    {"normal": ["1/1"], "offset": "1/0"}]}},
+                "bad delzant payload: rational '1/0' has a zero denominator",
+            ),
+            (
+                {"kind": "toric", "payload": {"rank": 0, "components": ["C"], "walls": [],
+                                              "pieces": [], "strata": [],
+                                              "base_component": "C"}},
+                "bad toric payload: rank must be a positive integer, got 0",
+            ),
+        ],
+        ids=["zero-denominator", "rank-zero"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "quantize", "qr-check"])
+    def test_malformed_scalar_exit_3(self, tmp_path, capsys, command, config, message):
+        code = run(tmp_path, command, config)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out) == {
+            "error": {"type": "MalformedConfig", "message": message}
+        }
+        assert "Traceback" not in captured.err
+
     def test_mincoupling_kind_not_toric(self, tmp_path, capsys):
         cfg = {"kind": "mincoupling", "payload": {"base_degree": 1, "fibre": {"rank": 1, "terms": []}}}
         assert run(tmp_path, "validate", cfg) == 3

@@ -42,6 +42,11 @@ class TestFractionCodec:
         with pytest.raises(ValueError):
             decode_fraction(0.25)
 
+    def test_zero_denominator_is_value_error(self):
+        for text in ("1/0", "0/0", "-3/0"):
+            with pytest.raises(ValueError, match="zero denominator"):
+                decode_fraction(text)
+
 
 class TestStability:
     def test_dumps_is_deterministic(self):

@@ -1,6 +1,7 @@
 """Exact polyhedral geometry tests."""
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from logq import (
     strongly_convex,
     vertices,
 )
+from logq.polyhedra import arrangement_vertex_box
 
 
 def interval(lo=None, hi=None):
@@ -360,3 +362,243 @@ class TestHalfspaceValidation:
         assert obj["halfspaces"][0]["normal"] == ["1/2", "-1/1"]
         assert obj["halfspaces"][0]["offset"] == "3/4"
         assert Polyhedron.from_jsonable(obj) == P
+
+
+# ---------------------------------------------------------------------------
+# Independent oracles for the arrangement sweep, in Fraction arithmetic.
+
+
+def _rank_of(rows):
+    """Rank of a list of rational row vectors, by Gaussian elimination."""
+    m = [[Fraction(c) for c in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col] / m[rank][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _solve(rows, rhs):
+    """The unique solution of a square rational system, or None if singular."""
+    n = len(rows)
+    m = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return [m[i][n] for i in range(n)]
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _arrangement_signs(hps, point):
+    return tuple(_sign(_dot(h.normal, point) - h.offset) for h in hps)
+
+
+def _brute_force_sign_vectors(hps):
+    """Every s in {-1, 0, 1}^H that some point realizes.
+
+    The arrangement is first restricted to the span of its normals, in the
+    coordinates of a basis of normals, so that its normals span and every
+    nonempty closed cell {x : sign(x) <= s} is a pointed polyhedron: the
+    convex hull of the arrangement vertices in it plus the cone of the
+    candidate rays in it.  The mean of those vertices plus the sum of those
+    rays lies in the relative interior, which is the open cell; so s is a
+    cell iff that point realizes s.
+    """
+    basis = []
+    for h in hps:
+        if _rank_of(basis + [h.normal]) > len(basis):
+            basis.append(h.normal)
+    k = len(basis)
+    rows = [(tuple(_dot(h.normal, n) for n in basis), h.offset) for h in hps]
+
+    def signs(point, affine=True):
+        return tuple(_sign(_dot(a, point) - (b if affine else 0)) for a, b in rows)
+
+    verts = []
+    for sub in combinations(rows, k):
+        x = _solve([a for a, _ in sub], [b for _, b in sub])
+        if x is not None:
+            verts.append((x, signs(x)))
+    rays = []
+    for sub in combinations([a for a, _ in rows], k - 1):
+        for j in range(k):
+            unit = tuple(int(i == j) for i in range(k))
+            d = _solve(list(sub) + [unit], [0] * (k - 1) + [1])
+            if d is not None:
+                for ray in (d, [-c for c in d]):
+                    rays.append((ray, signs(ray, affine=False)))
+                break
+
+    def inside(sv, s):
+        return all(c == 0 or c == si for c, si in zip(sv, s))
+
+    found = set()
+    for s in product((-1, 0, 1), repeat=len(rows)):
+        vs = [x for x, sv in verts if inside(sv, s)]
+        if not vs:
+            continue
+        point = [sum(c) / len(vs) for c in zip(*vs)]
+        for d, sv in rays:
+            if inside(sv, s):
+                point = [x + c for x, c in zip(point, d)]
+        if signs(point) == s:
+            found.add(s)
+    return found
+
+
+def _characteristic_polynomial(hps):
+    """chi(t) of the arrangement as {dimension: coefficient}, from its
+    intersection poset: sum over nonempty flats X of mu(R^r, X) t^dim(X).
+
+    A flat is identified by the set of hyperplanes that contain it; every
+    flat is cut out by at most r of them.
+    """
+    r = len(hps[0].normal)
+    aug = [tuple(h.normal) + (h.offset,) for h in hps]
+    flats = {}
+    for size in range(r + 1):
+        for sub in combinations(range(len(hps)), size):
+            rk = _rank_of([hps[i].normal for i in sub])
+            if _rank_of([aug[i] for i in sub]) != rk:
+                continue  # the hyperplanes do not meet
+            on = frozenset(
+                i for i in range(len(hps)) if _rank_of([aug[j] for j in sub] + [aug[i]]) == rk
+            )
+            flats[on] = r - rk
+    mu = {}
+    for X in sorted(flats, key=len):
+        mu[X] = 1 if not X else -sum(m for Y, m in mu.items() if Y < X)
+    chi = {}
+    for X, dim in flats.items():
+        chi[dim] = chi.get(dim, 0) + mu[X]
+    return chi
+
+
+def _closure(hps, sign_vector):
+    """The closed halfspaces cutting out the closure of a cell."""
+    out = set()
+    for h, s in zip(hps, sign_vector):
+        if s >= 0:
+            out.add(h)
+        if s <= 0:
+            out.add(Halfspace([-c for c in h.normal], -h.offset))
+    return out
+
+
+def _outside_box(box):
+    """The 2r closed halfspaces just outside an integer box."""
+    r = len(box)
+    for j, (lo, hi) in enumerate(box):
+        unit = [int(i == j) for i in range(r)]
+        yield Halfspace(unit, hi + 1)
+        yield Halfspace([-c for c in unit], 1 - lo)
+
+
+_offset = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _arrangement(draw, max_size):
+    """Rank 1-3 arrangements with repeated, parallel and, through normals
+    kept in a coordinate hyperplane, non-spanning hyperplanes."""
+    rank = draw(st.integers(1, 3))
+    k = rank - (rank > 1 and draw(st.booleans()))
+    normal = st.lists(st.integers(-2, 2), min_size=k, max_size=k).filter(any)
+    hps = []
+    for _ in range(draw(st.integers(1, max_size))):
+        how = draw(st.sampled_from(["new", "new", "parallel", "repeat"])) if hps else "new"
+        if how == "repeat":
+            hps.append(draw(st.sampled_from(hps)))
+        elif how == "parallel":
+            n = draw(st.sampled_from(hps)).normal
+            hps.append(Halfspace([c * draw(st.sampled_from([-2, -1, 1])) for c in n], draw(_offset)))
+        else:
+            hps.append(Halfspace(draw(normal) + [0] * (rank - k), draw(_offset)))
+    return hps
+
+
+class TestSweepOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(_arrangement(max_size=8))
+    def test_region_counts_match_zaslavsky(self, hps):
+        cells = arrangement_cells(hps)
+        regions = [c for c in cells if 0 not in c.sign_vector]
+        chi = _characteristic_polynomial(hps)
+        assert len(regions) == abs(sum(m * (-1) ** d for d, m in chi.items()))
+        rank = len(hps[0].normal)
+        spanning = _rank_of([h.normal for h in hps]) == rank
+        # Zaslavsky counts relatively bounded regions; with normals that do
+        # not span, every region contains a line and none is bounded.
+        bounded = abs(sum(chi.values())) if spanning else 0
+        assert sum(c.bounded for c in regions) == bounded
+
+    @settings(max_examples=100, deadline=None)
+    @given(_arrangement(max_size=6))
+    def test_sign_vectors_match_brute_force(self, hps):
+        got = [c.sign_vector for c in arrangement_cells(hps)]
+        assert got == sorted(got)
+        assert set(got) == _brute_force_sign_vectors(hps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_arrangement(max_size=7))
+    def test_witnesses_and_bounded_flags(self, hps):
+        rank = len(hps[0].normal)
+        # With no vertex box there is no bounded cell, and any box will do.
+        box = arrangement_vertex_box(hps) or [(0, 0)] * rank
+        for cell, point in arrangement_cells_with_points(hps):
+            assert all(type(c) is Fraction for c in point)
+            assert _arrangement_signs(hps, point) == cell.sign_vector
+            closure = _closure(hps, cell.sign_vector)
+            leaves_box = any(
+                not is_empty(Polyhedron(rank, closure | {h})) for h in _outside_box(box)
+            )
+            assert cell.bounded == (not leaves_box)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(_polyhedron))
+    def test_is_bounded_matches_vertex_box(self, P):
+        if is_empty(P):
+            expected = True
+        else:
+            # A nonempty bounded polyhedron is the hull of its vertices.
+            vs = vertices(P)
+            box = [(floor(min(c)), ceil(max(c))) for c in zip(*vs)]
+            expected = bool(vs) and all(
+                is_empty(Polyhedron(P.rank, P.halfspaces + (h,))) for h in _outside_box(box)
+            )
+        assert is_bounded(P) == expected
+
+    def test_normals_in_a_plane_leave_every_cell_unbounded(self):
+        hps = [Halfspace((1, 0, 0), 0), Halfspace((0, 1, 0), 0), Halfspace((1, 1, 0), 1)]
+        cells = arrangement_cells(hps)
+        assert len(cells) == len(_brute_force_sign_vectors(hps)) == 19
+        assert not any(c.bounded for c in cells)
+
+    def test_triangle_arrangement(self):
+        hps = list(TRIANGLE.halfspaces)
+        cells = arrangement_cells(hps)
+        # 7 regions, 9 edges, 3 vertices; bounded: the triangle, its edges and vertices
+        assert len(cells) == 19
+        assert sum(c.bounded for c in cells) == 7
+        assert ((1, 1, 1), True) in [(c.sign_vector, c.bounded) for c in cells]

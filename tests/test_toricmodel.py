@@ -297,3 +297,8 @@ class TestToricJson:
                 strata=(Stratum({"ghost"}),),
                 base_component="A",
             )
+
+    def test_rank_must_be_positive_int(self):
+        for rank in (0, -1, True, "1", 1.0):
+            with pytest.raises(ValueError, match="rank must be a positive integer"):
+                ToricLogData(rank=rank, components=("C",), base_component="C")
