@@ -103,6 +103,12 @@ class TestValidateCommand:
     def test_missing_config_exit_3(self, capsys):
         assert main(["validate"]) == 3
 
+    def test_mincoupling_kind_not_toric(self, tmp_path, capsys):
+        cfg = {"kind": "mincoupling", "payload": {"base_degree": 1, "fibre": {"rank": 1, "terms": []}}}
+        assert run(tmp_path, "validate", cfg) == 3
+
+
+class TestMalformedScalars:
     @pytest.mark.parametrize(
         "config, message",
         [
@@ -121,7 +127,7 @@ class TestValidateCommand:
         ids=["zero-denominator", "rank-zero"],
     )
     @pytest.mark.parametrize("command", ["validate", "quantize", "qr-check"])
-    def test_malformed_scalar_exit_3(self, tmp_path, capsys, command, config, message):
+    def test_exit_3_without_traceback(self, tmp_path, capsys, command, config, message):
         code = run(tmp_path, command, config)
         captured = capsys.readouterr()
         assert code == 3
@@ -129,10 +135,6 @@ class TestValidateCommand:
             "error": {"type": "MalformedConfig", "message": message}
         }
         assert "Traceback" not in captured.err
-
-    def test_mincoupling_kind_not_toric(self, tmp_path, capsys):
-        cfg = {"kind": "mincoupling", "payload": {"base_degree": 1, "fibre": {"rank": 1, "terms": []}}}
-        assert run(tmp_path, "validate", cfg) == 3
 
 
 class TestQuantizeCommand:
