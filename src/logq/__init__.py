@@ -13,13 +13,7 @@ from .charring import (
     SU2Char,
     Weight,
     as_weight,
-    char_add,
-    char_negate,
-    dimension,
-    invariant_part,
-    multiplicity,
     rational_to_laurent,
-    specialize,
     su2_decompose,
     weyl_char,
 )

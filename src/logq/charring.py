@@ -12,8 +12,9 @@ from collections import Counter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import NotFinite, NotSU2Character, RankMismatch
-from .jsonio import decode_int, encode_int
+from .errors import NotFinite, NotSU2Character, RankMismatch, SizeLimit
+from .jsonio import decode_int, decode_list, encode_int
+from .polyhedra import BOX_VOLUME_CAP
 
 Weight = tuple[int, ...]
 
@@ -144,8 +145,8 @@ class Character:
     def from_jsonable(cls, obj) -> "Character":
         rank = decode_int(obj["rank"])
         terms = {}
-        for entry in obj.get("terms", []):
-            w = tuple(decode_int(c) for c in entry["weight"])
+        for entry in decode_list(obj.get("terms", [])):
+            w = tuple(decode_int(c) for c in decode_list(entry["weight"]))
             terms[w] = terms.get(w, 0) + decode_int(entry["mult"])
         return cls(rank, terms)
 
@@ -337,25 +338,6 @@ class RationalChar:
     def __setattr__(self, name, value):
         raise AttributeError("RationalChar is immutable")
 
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly) -> "RationalChar":
-        """Embed a Laurent polynomial as denominator-free terms."""
-        terms = []
-        for e in sorted(p.coeffs):
-            c = p.coeff(e)
-            s = 1 if c > 0 else -1
-            terms.extend(RationalTerm(s, e) for _ in range(abs(c)))
-        return cls(terms)
-
-    def __neg__(self) -> "RationalChar":
-        return RationalChar(RationalTerm(-t.sign, t.mu, t.denom) for t in self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalChar):
-            return NotImplemented
-        key = lambda t: (t.sign, t.mu, t.denom)
-        return sorted(map(key, self.terms)) == sorted(map(key, other.terms))
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -439,45 +421,19 @@ class SU2Char:
     @classmethod
     def from_jsonable(cls, obj) -> "SU2Char":
         mults = {}
-        for entry in obj.get("terms", []):
+        for entry in decode_list(obj.get("terms", [])):
             j = decode_int(entry["j"])
             mults[j] = mults.get(j, 0) + decode_int(entry["mult"])
         return cls(mults)
 
 
-# ---------------------------------------------------------------------------
-# Ring operations with the interface names used throughout the package.
-
-
-def char_add(a: Character, b: Character) -> Character:
-    return a + b
-
-
-def char_negate(a: Character) -> Character:
-    return -a
-
-
-def multiplicity(a: Character, weight: Iterable[int]) -> int:
-    return a.multiplicity(weight)
-
-
-def dimension(a: Character) -> int:
-    return a.dimension()
-
-
-def invariant_part(a: Character) -> int:
-    return a.invariant_part()
-
-
-def specialize(a: Character, xi: Iterable[int]) -> LaurentPoly:
-    return a.specialize(xi)
-
-
-def _exact_div(num: LaurentPoly, den: LaurentPoly):
+def _exact_div(num: LaurentPoly, den: LaurentPoly, max_terms: int):
     """Exact quotient num/den in Z[t, 1/t], or None when it does not exist.
 
     Peels from the lowest exponent.  Any exact quotient q satisfies
-    max(q) = max(num) - max(den), which bounds the loop.
+    max(q) = max(num) - max(den), which bounds the loop; that span can be
+    astronomically wide, so a quotient of more than ``max_terms`` nonzero
+    terms raises :class:`SizeLimit`.
     """
     if not num:
         return LaurentPoly()
@@ -485,6 +441,7 @@ def _exact_div(num: LaurentPoly, den: LaurentPoly):
     d_min = den.min_exp()
     d_lead = den.coeff(d_min)
     top = num.max_exp() - den.max_exp()
+    den_terms = tuple(den.coeffs.items())
     quotient: dict[int, int] = {}
     while work:
         n_min = min(work)
@@ -495,7 +452,9 @@ def _exact_div(num: LaurentPoly, den: LaurentPoly):
         if r:
             return None
         quotient[e] = c
-        for de, dc in den.coeffs.items():
+        if len(quotient) > max_terms:
+            raise SizeLimit(f"rational_to_laurent: quotient exceeds cap {max_terms} terms")
+        for de, dc in den_terms:
             k = e + de
             v = work.get(k, 0) - c * dc
             if v:
@@ -505,13 +464,14 @@ def _exact_div(num: LaurentPoly, den: LaurentPoly):
     return LaurentPoly(quotient)
 
 
-def rational_to_laurent(r: RationalChar) -> LaurentPoly:
+def rational_to_laurent(r: RationalChar, *, max_terms: int = BOX_VOLUME_CAP) -> LaurentPoly:
     """Collapse a rational character expression to a finite Laurent polynomial.
 
     All terms are put over a common denominator (multiset maximum of the
     factors ``1 - t^w``) and the quotient is computed by exact integer
     division.  Raises :class:`NotFinite` when a nonzero remainder shows the
-    formal sum is not a finite character.
+    formal sum is not a finite character, and :class:`SizeLimit` when the
+    quotient has more than ``max_terms`` terms.
     """
     if not r.terms:
         return LaurentPoly()
@@ -528,7 +488,7 @@ def rational_to_laurent(r: RationalChar) -> LaurentPoly:
     denominator = LaurentPoly({0: 1})
     for w in sorted(common.elements()):
         denominator = denominator * LaurentPoly.one_minus(w)
-    quotient = _exact_div(numerator, denominator)
+    quotient = _exact_div(numerator, denominator, max_terms)
     if quotient is None:
         raise NotFinite("rational character sum does not reduce to a finite character")
     return quotient

@@ -18,20 +18,7 @@ from typing import Sequence
 
 from . import indexcalc, polyhedra, toricmodel
 from .charring import Character
-from .errors import (
-    EmptyPiece,
-    InfiniteSupport,
-    LogqError,
-    MalformedConfig,
-    NotDelzant,
-    NotFinite,
-    NotProper,
-    NotSU2Character,
-    ParityInconsistent,
-    RankMismatch,
-    SizeLimit,
-    Unbounded,
-)
+from .errors import InfiniteSupport, LogqError, MalformedConfig, NotFinite, RankMismatch
 from .indexcalc import FixedPointTerm
 from .jsonio import decode_int, dumps
 from .polyhedra import Polyhedron
@@ -49,10 +36,15 @@ TORIC_KINDS = ("toric", "s2_family", "delzant")
 
 @dataclass
 class JobConfig:
-    """A parsed job: kind, kind-specific payload, optional fixed-point terms."""
+    """A decoded job: kind, decoded payload, optional fixed-point terms.
+
+    ``payload`` is a ToricLogData for "toric", a Polyhedron for "delzant",
+    the pair (n1, n2) for "s2_family" and (base_degree, fibre character) for
+    "mincoupling".
+    """
 
     kind: str
-    payload: dict
+    payload: ToricLogData | Polyhedron | tuple[int, int] | tuple[int, Character]
     fixed_terms: list[FixedPointTerm] | None = None
     options: dict = field(default_factory=dict)
 
@@ -60,18 +52,14 @@ class JobConfig:
 def _exit_code_for(exc: LogqError) -> int:
     if isinstance(exc, (InfiniteSupport, NotFinite)):
         return EXIT_INFINITE
-    if isinstance(exc, MalformedConfig) or isinstance(exc, RankMismatch):
+    if isinstance(exc, (MalformedConfig, RankMismatch)):
         return EXIT_MALFORMED
-    if isinstance(
-        exc,
-        (ParityInconsistent, NotProper, EmptyPiece, Unbounded, NotDelzant, SizeLimit, NotSU2Character),
-    ):
-        return EXIT_VALIDATION
     return EXIT_VALIDATION
 
 
 def load_config(text: str) -> JobConfig:
-    """Parse and schema-check a job configuration; MalformedConfig on any defect."""
+    """Parse a job configuration and decode its payload once; MalformedConfig
+    on any defect."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -81,8 +69,8 @@ def load_config(text: str) -> JobConfig:
     kind = obj.get("kind")
     if kind not in KINDS:
         raise MalformedConfig(f"kind must be one of {list(KINDS)}, got {kind!r}")
-    payload = obj.get("payload")
-    if not isinstance(payload, dict):
+    raw = obj.get("payload")
+    if not isinstance(raw, dict):
         raise MalformedConfig("payload must be a JSON object")
     fixed_terms = None
     if obj.get("fixed_terms") is not None:
@@ -95,39 +83,34 @@ def load_config(text: str) -> JobConfig:
     options = obj.get("options", {})
     if not isinstance(options, dict):
         raise MalformedConfig("options must be a JSON object")
-    config = JobConfig(kind=kind, payload=payload, fixed_terms=fixed_terms, options=options)
-    _check_payload(config)
-    return config
-
-
-def _check_payload(config: JobConfig) -> None:
     try:
-        if config.kind == "toric":
-            ToricLogData.from_jsonable(config.payload)
-        elif config.kind == "s2_family":
-            decode_int(config.payload["n1"])
-            decode_int(config.payload["n2"])
-        elif config.kind == "delzant":
-            Polyhedron.from_jsonable(config.payload)
-        else:
-            decode_int(config.payload["base_degree"])
-            fibre = Character.from_jsonable(config.payload["fibre"])
-            if fibre.rank != 1:
-                raise ValueError("fibre character must have rank 1")
+        payload = _decode_payload(kind, raw)
     except (LogqError, ValueError, TypeError, KeyError) as exc:
-        raise MalformedConfig(f"bad {config.kind} payload: {exc}") from exc
+        raise MalformedConfig(f"bad {kind} payload: {exc}") from exc
+    return JobConfig(kind=kind, payload=payload, fixed_terms=fixed_terms, options=options)
+
+
+def _decode_payload(kind: str, raw: dict):
+    if kind == "toric":
+        return ToricLogData.from_jsonable(raw)
+    if kind == "delzant":
+        return Polyhedron.from_jsonable(raw)
+    if kind == "s2_family":
+        return decode_int(raw["n1"]), decode_int(raw["n2"])
+    base_degree = decode_int(raw["base_degree"])
+    fibre = Character.from_jsonable(raw["fibre"])
+    if fibre.rank != 1:
+        raise ValueError("fibre character must have rank 1")
+    return base_degree, fibre
 
 
 def _toric_data(config: JobConfig) -> ToricLogData:
     if config.kind == "toric":
-        return ToricLogData.from_jsonable(config.payload)
+        return config.payload
     if config.kind == "s2_family":
-        data, _ = toricmodel.s2_family(
-            decode_int(config.payload["n1"]), decode_int(config.payload["n2"])
-        )
-        return data
+        return toricmodel.s2_family(*config.payload)[0]
     if config.kind == "delzant":
-        return toricmodel.delzant(Polyhedron.from_jsonable(config.payload))
+        return toricmodel.delzant(config.payload)
     raise MalformedConfig(f"kind {config.kind!r} does not describe a toric space")
 
 
@@ -135,16 +118,14 @@ def _derive_terms(config: JobConfig) -> list[FixedPointTerm]:
     if config.fixed_terms is not None:
         return config.fixed_terms
     if config.kind == "s2_family":
-        return indexcalc.fixed_terms_s2(
-            decode_int(config.payload["n1"]), decode_int(config.payload["n2"])
-        )
+        return indexcalc.fixed_terms_s2(*config.payload)
     if config.kind == "delzant":
-        return indexcalc.fixed_terms_delzant(Polyhedron.from_jsonable(config.payload))
+        return indexcalc.fixed_terms_delzant(config.payload)
     raise MalformedConfig("toric jobs need explicit fixed_terms for the qr-check")
 
 
 def _box_cap(config: JobConfig, args) -> int:
-    if getattr(args, "box_cap", None) is not None:
+    if args.box_cap is not None:
         return args.box_cap
     if "box_cap" in config.options:
         try:
@@ -198,10 +179,7 @@ def cmd_qr_check(config: JobConfig, args):
 def cmd_mincoupling(config: JobConfig, args):
     if config.kind != "mincoupling":
         raise MalformedConfig("mincoupling command needs a mincoupling job")
-    result = indexcalc.mincoupling_index(
-        decode_int(config.payload["base_degree"]),
-        Character.from_jsonable(config.payload["fibre"]),
-    )
+    result = indexcalc.mincoupling_index(*config.payload)
     lines = ["highest weight   multiplicity"]
     for j, m in sorted(result.mults.items()):
         lines.append(f"V_{j:<14} {m:>4}")
@@ -211,14 +189,14 @@ def cmd_mincoupling(config: JobConfig, args):
 def cmd_prequant(config: JobConfig, args):
     if config.kind not in TORIC_KINDS:
         raise MalformedConfig("prequant command needs a toric-like job")
-    data = _toric_data(config)
+    if config.kind == "s2_family":
+        data, params = toricmodel.s2_family(*config.payload)
+    else:
+        data, params = _toric_data(config), None
     verdict = toricmodel.prequant_check(data)
     payload: dict = {"kind": config.kind, "prequantizable": verdict}
     lines = [f"prequantizable: {verdict}"]
-    if config.kind == "s2_family":
-        _, params = toricmodel.s2_family(
-            decode_int(config.payload["n1"]), decode_int(config.payload["n2"])
-        )
+    if params is not None:
         payload["s2_params"] = {
             "n1": params.n1,
             "n2": params.n2,
@@ -247,31 +225,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact quantization of toric log symplectic data by signed "
         "lattice counting and fixed-point summation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        src = p.add_mutually_exclusive_group()
-        src.add_argument("--config", type=Path, help="path to a JSON job config")
-        src.add_argument("--stdin", action="store_true", help="read the job config from stdin")
-        p.add_argument(
-            "--format",
-            choices=("json", "table", "both"),
-            default=None,
-            help="output format (default json)",
-        )
-        p.add_argument("--box-cap", type=int, default=None, help="lattice box volume cap")
-        p.add_argument("--quiet", action="store_true", help="suppress stdout")
-        if name == "qr-check":
-            p.add_argument(
-                "--batch", type=Path, default=None, help="run every *.json config in a directory"
-            )
+    parser.add_argument("command", choices=COMMANDS)
+    src = parser.add_mutually_exclusive_group()
+    src.add_argument("--config", type=Path, help="path to a JSON job config")
+    src.add_argument("--stdin", action="store_true", help="read the job config from stdin")
+    parser.add_argument(
+        "--format",
+        choices=("json", "table", "both"),
+        default=None,
+        help="output format (default json)",
+    )
+    parser.add_argument("--box-cap", type=int, default=None, help="lattice box volume cap")
+    parser.add_argument("--quiet", action="store_true", help="suppress stdout")
+    parser.add_argument(
+        "--batch",
+        type=Path,
+        default=None,
+        help="qr-check only: run every *.json config in a directory",
+    )
     return parser
 
 
 def _read_config_text(args) -> str:
-    if getattr(args, "stdin", False):
+    if args.stdin:
         return sys.stdin.read()
-    if getattr(args, "config", None) is not None:
+    if args.config is not None:
         try:
             return args.config.read_text()
         except OSError as exc:
@@ -330,8 +308,10 @@ def _run_batch(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.batch is not None and args.command != "qr-check":
+        parser.error("--batch is only valid with qr-check")
     try:
-        if args.command == "qr-check" and args.batch is not None:
+        if args.batch is not None:
             return _run_batch(args)
         return _run_single(args, _read_config_text(args))
     except LogqError as exc:

@@ -28,7 +28,7 @@ from .charring import (
     weyl_char,
 )
 from .errors import InfiniteSupport, NotDelzant, RankMismatch, Unbounded
-from .jsonio import decode_int, encode_int
+from .jsonio import decode_int, decode_list, encode_int
 from .polyhedra import Halfspace, Polyhedron
 from .toricmodel import ToricLogData
 
@@ -74,8 +74,11 @@ class FixedPointTerm:
     def from_jsonable(cls, obj) -> "FixedPointTerm":
         return cls(
             decode_int(obj["sign"]),
-            [decode_int(c) for c in obj["mu"]],
-            [[decode_int(c) for c in w] for w in obj.get("weights", [])],
+            [decode_int(c) for c in decode_list(obj["mu"])],
+            [
+                [decode_int(c) for c in decode_list(w)]
+                for w in decode_list(obj.get("weights", []))
+            ],
         )
 
 
@@ -191,14 +194,17 @@ def _signed_indicator(d: ToricLogData, o: Sequence[int], point) -> int:
     return sum(oj for oj, piece in zip(o, d.pieces) if piece.region.contains(point))
 
 
-def atiyah_bott(terms: Sequence[FixedPointTerm]) -> Character:
+def atiyah_bott(
+    terms: Sequence[FixedPointTerm], *, box_cap: int = polyhedra.BOX_VOLUME_CAP
+) -> Character:
     """Evaluate a rank-1 fixed-point sum as a finite character.
 
     Assembles sign * t^mu / prod(1 - t^w) over all terms and performs the
     exact division.  Raises :class:`NotFinite` when the sum is not a finite
-    character (invalid fixed-point data) and :class:`RankMismatch` for ranks
-    other than 1, which are handled through specialization in
-    :func:`qr_check` instead.
+    character (invalid fixed-point data), :class:`SizeLimit` when it has
+    more than ``box_cap`` terms, and :class:`RankMismatch` for ranks other
+    than 1, which are handled through specialization in :func:`qr_check`
+    instead.
     """
     if not terms:
         return Character(1, {})
@@ -210,7 +216,7 @@ def atiyah_bott(terms: Sequence[FixedPointTerm]) -> Character:
     rat = RationalChar(
         RationalTerm(t.sign, t.mu[0], [w[0] for w in t.weights]) for t in terms
     )
-    return rational_to_laurent(rat).to_character()
+    return rational_to_laurent(rat, max_terms=box_cap).to_character()
 
 
 def fixed_terms_s2(n1: int, n2: int) -> list[FixedPointTerm]:
@@ -348,7 +354,8 @@ def qr_check(
     that is injective on the comparison domain; on agreement the fixed-point
     character is the lattice character, otherwise it records the
     coefficients attributed back through the specialization.  Disagreement is
-    reported, not raised.
+    reported, not raised.  ``box_cap`` caps both the lattice box volume and
+    the number of terms of the fixed-point quotient (:class:`SizeLimit`).
     """
     lattice_char = quantize_lattice(d, box_cap=box_cap)
     rank = d.rank
@@ -356,7 +363,7 @@ def qr_check(
     if any(t.rank != rank for t in terms):
         raise RankMismatch("fixed-point terms do not match the rank of the toric data")
     if rank == 1:
-        fp_char = atiyah_bott(terms)
+        fp_char = atiyah_bott(terms, box_cap=box_cap)
         agree = fp_char == lattice_char
     else:
         domain = sorted(_shell(lattice_char.support(), rank))
@@ -369,7 +376,7 @@ def qr_check(
             )
             for t in terms
         )
-        fp_poly = rational_to_laurent(specialized)
+        fp_poly = rational_to_laurent(specialized, max_terms=box_cap)
         agree = fp_poly == lattice_char.specialize(xi)
         if agree:
             fp_char = lattice_char

@@ -28,6 +28,13 @@ def decode_int(obj) -> int:
     raise ValueError(f"expected an integer, got {obj!r}")
 
 
+def decode_list(obj) -> list:
+    """A JSON list, passed through; strings and objects are not sequences here."""
+    if not isinstance(obj, list):
+        raise ValueError(f"expected a list, got {obj!r}")
+    return obj
+
+
 def encode_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 

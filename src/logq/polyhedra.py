@@ -20,7 +20,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import SizeLimit
-from .jsonio import decode_fraction, decode_int, encode_fraction
+from .jsonio import decode_fraction, decode_int, decode_list, encode_fraction
 
 RANK_CAP = 3
 HALFSPACE_CAP = 16
@@ -78,7 +78,8 @@ class Halfspace:
 
     @classmethod
     def from_jsonable(cls, obj) -> "Halfspace":
-        return cls([decode_fraction(c) for c in obj["normal"]], decode_fraction(obj["offset"]))
+        normal = [decode_fraction(c) for c in decode_list(obj["normal"])]
+        return cls(normal, decode_fraction(obj["offset"]))
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ class Polyhedron:
     def from_jsonable(cls, obj) -> "Polyhedron":
         return cls(
             decode_int(obj["rank"]),
-            [Halfspace.from_jsonable(h) for h in obj.get("halfspaces", [])],
+            [Halfspace.from_jsonable(h) for h in decode_list(obj.get("halfspaces", []))],
         )
 
 
@@ -137,11 +138,10 @@ class Cell:
     """A relatively open cell of a hyperplane arrangement.
 
     ``sign_vector[i]`` records the position relative to hyperplane i:
-    +1 above, 0 on, -1 below.  The flags are exact LP answers for the region.
+    +1 above, 0 on, -1 below.  ``bounded`` is exact for the region.
     """
 
     sign_vector: tuple[int, ...]
-    feasible: bool
     bounded: bool
 
 
@@ -580,10 +580,7 @@ def arrangement_cells(hyperplanes: Sequence[Halfspace]) -> list[Cell]:
     relatively open region, with an exact boundedness flag, ordered by sign
     vector.
     """
-    hps_int, rank = _arrangement_int(hyperplanes, "arrangement_cells")
-    return [
-        Cell(sv, True, bounded) for sv, _, bounded in _enumerate_cells(hps_int, rank)
-    ]
+    return [cell for cell, _ in arrangement_cells_with_points(hyperplanes)]
 
 
 def arrangement_cells_with_points(
@@ -593,7 +590,7 @@ def arrangement_cells_with_points(
     interior point of its relatively open region."""
     hps_int, rank = _arrangement_int(hyperplanes, "arrangement_cells")
     return [
-        (Cell(sv, True, bounded), pt) for sv, pt, bounded in _enumerate_cells(hps_int, rank)
+        (Cell(sv, bounded), pt) for sv, pt, bounded in _enumerate_cells(hps_int, rank)
     ]
 
 

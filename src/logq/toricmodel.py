@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import polyhedra
-from .errors import EmptyPiece, NotProper, ParityInconsistent, Unbounded
-from .jsonio import decode_fraction, decode_int, encode_fraction
+from .errors import EmptyPiece, NotProper, ParityInconsistent, SizeLimit, Unbounded
+from .jsonio import decode_fraction, decode_int, decode_list, encode_fraction
 from .polyhedra import Halfspace, Polyhedron, _frac
 
 
@@ -172,20 +172,20 @@ class ToricLogData:
     def from_jsonable(cls, obj) -> "ToricLogData":
         return cls(
             rank=decode_int(obj["rank"]),
-            components=[str(c) for c in obj["components"]],
+            components=[str(c) for c in decode_list(obj["components"])],
             walls=[
                 DivisorWall(
                     w["id"],
-                    [decode_fraction(c) for c in w["residue"]],
-                    [str(c) for c in w["joins"]],
+                    [decode_fraction(c) for c in decode_list(w["residue"])],
+                    [str(c) for c in decode_list(w["joins"])],
                 )
-                for w in obj.get("walls", [])
+                for w in decode_list(obj.get("walls", []))
             ],
             pieces=[
                 PolytopePiece(str(p["component"]), Polyhedron.from_jsonable(p["region"]))
-                for p in obj.get("pieces", [])
+                for p in decode_list(obj.get("pieces", []))
             ],
-            strata=[Stratum(s) for s in obj.get("strata", [])],
+            strata=[Stratum(decode_list(s)) for s in decode_list(obj.get("strata", []))],
             base_component=str(obj["base_component"]),
             global_sign=decode_int(obj.get("global_sign", 1)),
         )
@@ -216,7 +216,11 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """One result per check; ``bad_stratum`` is the first stratum that failed
+    the properness check, carried into :class:`NotProper`."""
+
     checks: tuple[CheckResult, ...]
+    bad_stratum: Stratum | None = None
 
     @property
     def ok(self) -> bool:
@@ -235,7 +239,7 @@ class ValidationReport:
             if c.name == "parity":
                 raise ParityInconsistent(c.detail)
             if c.name == "properness":
-                raise NotProper(c.detail, stratum=getattr(self, "_bad_stratum", None))
+                raise NotProper(c.detail, stratum=self.bad_stratum)
             raise EmptyPiece(c.detail)
 
     def to_jsonable(self) -> dict:
@@ -320,9 +324,7 @@ def validate(d: ToricLogData) -> ValidationReport:
     else:
         checks.append(CheckResult("pieces", True))
 
-    report = ValidationReport(tuple(checks))
-    object.__setattr__(report, "_bad_stratum", bad_stratum)
-    return report
+    return ValidationReport(tuple(checks), bad_stratum)
 
 
 def signs(d: ToricLogData) -> tuple[int, ...]:
@@ -360,12 +362,16 @@ def s2_family(n1: int, n2: int) -> tuple[ToricLogData, S2FamilyParams]:
     side (residue +1); pieces [n1, oo) on the base with sign + and [n2, oo)
     across the wall with sign -.  The divisor height a solves
     log((1-a)/(1+a)) = n for n = n2 - n1, i.e. a = (1-e^n)/(1+e^n), which is
-    computed as -tanh(n/2) for stability.
+    computed as -tanh(n/2) for stability.  Momentum values beyond the float
+    range raise :class:`SizeLimit`.
     """
     n = n2 - n1
-    a = -math.tanh(n / 2.0)
-    # log(1 - a) = log(2 e^n / (e^n + 1)) = log 2 - log(1 + e^(-n))
-    a_prime = n1 + math.log(2.0) - _log1p_exp(-float(n))
+    try:
+        a = -math.tanh(n / 2.0)
+        # log(1 - a) = log(2 e^n / (e^n + 1)) = log 2 - log(1 + e^(-n))
+        a_prime = n1 + math.log(2.0) - _log1p_exp(-float(n))
+    except OverflowError as exc:
+        raise SizeLimit("s2_family: momentum values exceed the float range") from exc
     data = ToricLogData(
         rank=1,
         components=("C1", "C2"),

@@ -1,10 +1,17 @@
 """CLI contract tests: exit codes, output formats, determinism, batch mode."""
+import io
 import json
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from logq.cli import main
+from logq.cli import COMMANDS, main
 from logq.jsonio import dumps
+from logq.polyhedra import Polyhedron
 
 S2_CONFIG = {"kind": "s2_family", "payload": {"n1": 0, "n2": 3}}
 
@@ -106,6 +113,83 @@ class TestValidateCommand:
     def test_mincoupling_kind_not_toric(self, tmp_path, capsys):
         cfg = {"kind": "mincoupling", "payload": {"base_degree": 1, "fibre": {"rank": 1, "terms": []}}}
         assert run(tmp_path, "validate", cfg) == 3
+
+    @pytest.mark.parametrize("command", ["validate", "quantize", "mincoupling", "prequant"])
+    def test_batch_is_qr_check_only(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--batch", str(tmp_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def s2_toric_payload():
+    """The sphere family (0, 3) written out as a toric payload."""
+    return {
+        "rank": 1,
+        "components": ["A", "B"],
+        "walls": [{"id": "w", "residue": ["1/1"], "joins": ["A", "B"]}],
+        "pieces": [
+            {"component": c, "region": {"rank": 1, "halfspaces": [
+                {"normal": ["1/1"], "offset": f"{n}/1"}]}}
+            for c, n in (("A", 0), ("B", 3))
+        ],
+        "strata": [["w"]],
+        "base_component": "A",
+        "global_sign": 1,
+    }
+
+
+def with_toric(edit):
+    payload = s2_toric_payload()
+    edit(payload)
+    return {"kind": "toric", "payload": payload}
+
+
+class TestListsOnly:
+    """A string or object where the schema has a list is malformed, not
+    iterated character by character."""
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                with_toric(lambda p: p.update(components="AB")),
+                "bad toric payload: expected a list, got 'AB'",
+            ),
+            (
+                with_toric(lambda p: p["walls"][0].update(joins="AB")),
+                "bad toric payload: expected a list, got 'AB'",
+            ),
+            (
+                with_toric(lambda p: p["walls"][0].update(residue="1")),
+                "bad toric payload: expected a list, got '1'",
+            ),
+            (
+                with_toric(lambda p: p.update(strata=["w"])),
+                "bad toric payload: expected a list, got 'w'",
+            ),
+            (
+                {"kind": "delzant", "payload": {"rank": 2, "halfspaces": [
+                    {"normal": "10", "offset": "0/1"},
+                    {"normal": ["-1/1", "0/1"], "offset": "-2/1"},
+                    {"normal": ["0/1", "1/1"], "offset": "0/1"},
+                    {"normal": ["0/1", "-1/1"], "offset": "-2/1"},
+                ]}},
+                "bad delzant payload: expected a list, got '10'",
+            ),
+        ],
+        ids=["components", "joins", "residue", "stratum", "normal"],
+    )
+    def test_exit_3(self, tmp_path, capsys, config, message):
+        assert run(tmp_path, "validate", config) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "error": {"type": "MalformedConfig", "message": message}
+        }
+
+    def test_the_list_form_is_valid(self, tmp_path, capsys):
+        code, payload = run_json(tmp_path, capsys, "validate", with_toric(lambda p: None))
+        assert code == 0
+        assert payload["ok"] is True
 
 
 class TestMalformedScalars:
@@ -222,6 +306,38 @@ class TestQRCheckCommand:
             if row["lattice"] != row["fixed_point"]
         ]
         assert [row["weight"] for row in diff] == [[3]]
+
+    def test_fixed_point_quotient_is_capped(self, tmp_path, capsys):
+        # sum t^k for 0 <= k < 3000000: a quotient far past the cap of 1000 terms.
+        cfg = {
+            **S2_CONFIG,
+            "fixed_terms": [
+                {"sign": 1, "mu": [0], "weights": [[1]]},
+                {"sign": -1, "mu": [3000000], "weights": [[1]]},
+            ],
+        }
+        start = time.perf_counter()
+        code, payload = run_json(tmp_path, capsys, "qr-check", cfg, "--box-cap", "1000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert payload == {
+            "error": {
+                "type": "SizeLimit",
+                "message": "rational_to_laurent: quotient exceeds cap 1000 terms",
+            }
+        }
+
+    def test_delzant_decodes_its_polyhedron_once(self, tmp_path, capsys, monkeypatch):
+        decoded = []
+        decode = Polyhedron.from_jsonable.__func__
+
+        def counting(cls, obj):
+            decoded.append(obj)
+            return decode(cls, obj)
+
+        monkeypatch.setattr(Polyhedron, "from_jsonable", classmethod(counting))
+        assert run(tmp_path, "qr-check", square_config(2)) == 0
+        assert len(decoded) == 1
 
     def test_toric_kind_needs_terms(self, tmp_path, capsys):
         cfg = {
@@ -375,3 +491,103 @@ class TestOutputContract:
         assert "dimension: 3" in out
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed configs: every input ends in a documented exit code and one JSON
+# document on stdout, never in an exception.
+
+def _square_terms():
+    """Brion vertex terms of the unit square [0, 1]^2."""
+    return [
+        {"sign": 1, "mu": [x, y], "weights": [[1 - 2 * x, 0], [0, 1 - 2 * y]]}
+        for x in (0, 1) for y in (0, 1)
+    ]
+
+
+FUZZ_BASES = [
+    {**S2_CONFIG, "fixed_terms": [
+        {"sign": 1, "mu": [0], "weights": [[1]]},
+        {"sign": -1, "mu": [3], "weights": [[1]]},
+    ]},
+    {"kind": "toric", "payload": s2_toric_payload(), "fixed_terms": [
+        {"sign": 1, "mu": [0], "weights": [[1]]},
+        {"sign": -1, "mu": [3], "weights": [[1]]},
+    ]},
+    {"kind": "toric", "payload": {
+        "rank": 2, "components": ["C"], "walls": [],
+        "pieces": [{"component": "C", "region": square_config(1)["payload"]}],
+        "strata": [], "base_component": "C", "global_sign": 1,
+    }, "fixed_terms": _square_terms()},
+    square_config(1),
+    {"kind": "mincoupling", "payload": {"base_degree": 1, "fibre": {
+        "rank": 1, "terms": [{"weight": [0], "mult": 1}, {"weight": [1], "mult": 2}]}}},
+]
+
+
+def _ints(digits):
+    """Integers m * 10^k, |m| < 1000, with k spread evenly over 0..digits."""
+    return st.builds(
+        lambda m, k: m * 10**k, st.integers(-999, 999), st.sampled_from(range(digits + 1))
+    )
+
+
+FUZZ_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    _ints(20),
+    _ints(400).map(lambda n: f"int:{n}"),
+    st.builds(lambda p, q: f"{p}/{q}", _ints(20), st.integers(-3, 3)),
+    st.just("1/0"),
+    st.text(max_size=4),
+)
+FUZZ_VALUES = st.one_of(
+    FUZZ_SCALARS,
+    st.lists(FUZZ_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=4), FUZZ_SCALARS, max_size=3),
+)
+
+
+def _positions(node, prefix=()):
+    """(key path, is a scalar) for every position below the root of a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,), not isinstance(child, (dict, list))
+        yield from _positions(child, prefix + (key,))
+
+
+def fuzzed_config(data):
+    """A valid base config with one or two positions replaced.  Half the
+    replacements put a scalar where a scalar was, which most often keeps the
+    config decodable and so reaches the commands."""
+    config = json.loads(dumps(data.draw(st.sampled_from(FUZZ_BASES))))
+    for _ in range(data.draw(st.integers(1, 2))):
+        positions = list(_positions(config))
+        if data.draw(st.booleans()):
+            path = data.draw(st.sampled_from([p for p, scalar in positions if scalar]))
+            value = data.draw(FUZZ_SCALARS)
+        else:
+            path = data.draw(st.sampled_from([p for p, _ in positions]))
+            value = data.draw(FUZZ_VALUES)
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return config
+
+
+class TestFuzzedConfigs:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_is_documented(self, command, data):
+        config = fuzzed_config(data)
+        out = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(dumps(config))), \
+                redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main([command, "--stdin", "--box-cap", "10000"])
+        assert code in (0, 2, 3, 4, 5)
+        json.loads(out.getvalue())

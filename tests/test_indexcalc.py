@@ -28,7 +28,6 @@ from logq import (
     fixed_terms_delzant,
     fixed_terms_s2,
     mincoupling_index,
-    multiplicity,
     qr_check,
     quantize_lattice,
     reduced_multiplicity,
@@ -131,7 +130,7 @@ class TestQuantizeLattice:
             d, _ = s2_family(n1, n2)
             char = quantize_lattice(d)
             for lam in range(-6, 7):
-                assert multiplicity(char, (lam,)) == reduced_multiplicity(d, (lam,))
+                assert char.multiplicity((lam,)) == reduced_multiplicity(d, (lam,))
 
     def test_orientation_flip(self):
         d, _ = s2_family(-1, 2)

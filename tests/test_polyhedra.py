@@ -288,7 +288,6 @@ class TestArrangementCells:
         cells = arrangement_cells([Halfspace((1,), 0)])
         assert [c.sign_vector for c in cells] == [(-1,), (0,), (1,)]
         assert [c.bounded for c in cells] == [False, True, False]
-        assert all(c.feasible for c in cells)
 
     def test_two_points_on_line(self):
         cells = arrangement_cells([Halfspace((1,), 0), Halfspace((1,), 3)])
