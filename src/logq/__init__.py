@@ -52,7 +52,6 @@ from .polyhedra import (
     is_bounded,
     is_empty,
     lattice_points,
-    recession_cone,
     strongly_convex,
     vertices,
 )

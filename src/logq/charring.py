@@ -237,14 +237,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not Laurent polynomials in general")
-        result = LaurentPoly({0: 1})
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented

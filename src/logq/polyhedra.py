@@ -1,21 +1,25 @@
 """Exact rational polyhedral geometry at desk scale.
 
-Everything is decided over the rationals with no tolerances: feasibility by
-Fourier-Motzkin elimination, boundedness by the sign vectors of the
-candidate extreme rays of the recession cone (computed once per arrangement
-in the cell sweep), vertices by basic-solution enumeration, lattice points by a
-scanline over a box (the last coordinate's integer interval in closed form),
-and strong convexity by Caratheodory-style subset checks.  Each halfspace is
-compiled once, when it is built, to a primitive integer row, and the kernels
-work on those rows.  Hard caps keep inputs at the intended desk scale;
-exceeding them raises :class:`SizeLimit` rather than silently truncating.
+Everything is exact, with no tolerances.  Each halfspace is
+compiled once, when it is built, to a primitive integer row, and one small
+kernel works on those rows: Fourier-Motzkin elimination (feasibility with a
+witness), the generalized cross product and the determinant.  Feasibility
+and emptiness are one FM call; boundedness reads the sign vectors of the
+candidate extreme rays of the recession cone, cross products computed once
+per arrangement in the cell sweep; vertices and the arrangement vertex box
+solve square systems by Cramer's rule, as the cross product of the augmented
+rows; lattice points come from a scanline over a box (the last coordinate's
+integer interval in closed form); and strong convexity is Gordan's
+alternative, one FM call on strict rows.  Hard caps keep inputs at the
+intended desk scale; exceeding them raises :class:`SizeLimit` rather than
+silently truncating.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -248,45 +252,6 @@ def _fm_feasible_point(cons, nvars):
     return tuple(values)
 
 
-def _row_echelon(rows: list[list[Fraction]]):
-    """In-place Gauss-Jordan elimination over Fraction; returns pivot columns."""
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def _solve_square(normals, rhs, n):
-    """Unique solution of <normals[i], x> = rhs[i], or None if singular."""
-    rows = [[Fraction(c) for c in a] + [Fraction(b)] for a, b in zip(normals, rhs)]
-    pivots = _row_echelon(rows)
-    if len(pivots) != n or n in pivots:
-        return None
-    sol = [_ZERO] * n
-    for i, col in enumerate(pivots):
-        sol[col] = rows[i][n]
-    return tuple(sol)
-
-
 def _primitive(vec) -> tuple[int, ...]:
     """Scale a vector of ints and Fractions to a primitive integer vector
     (same direction)."""
@@ -315,6 +280,23 @@ def _cross(rows, n) -> tuple[int, ...]:
     return tuple(
         (-1) ** j * _det([a[:j] + a[j + 1:] for a in rows]) for j in range(n)
     )
+
+
+def _solve(rows, n):
+    """The unique solution of n integer rows a.x = b as (numerators, den)
+    in lowest terms with den > 0, or None when the system is singular.
+
+    Cramer's rule by cross product: the cross product of the augmented rows
+    [a | -b] is orthogonal to each of them, so it is (x * den, den) with
+    den = +-det(a), and den = 0 exactly when the normals a are dependent.
+    """
+    *num, den = _cross([a + (-b,) for a, b in rows], n + 1)
+    if not den:
+        return None
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    return tuple(c // g for c in num), den // g
 
 
 def _ray_masks(normals, n):
@@ -371,11 +353,6 @@ def is_empty(P: Polyhedron) -> bool:
     return _fm_feasible_point(_ge_rows(P), P.rank) is None
 
 
-def recession_cone(P: Polyhedron) -> Polyhedron:
-    """Syntactic homogenization: same normals, zero offsets."""
-    return Polyhedron(P.rank, [Halfspace(h.normal, 0) for h in P.halfspaces])
-
-
 def is_bounded(P: Polyhedron) -> bool:
     """True iff the recession cone is the origin (vacuously true when empty)."""
     _check_caps(P, "is_bounded")
@@ -387,21 +364,22 @@ def is_bounded(P: Polyhedron) -> bool:
 
 
 def vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
-    """All basic feasible solutions, deduplicated, in lexicographic order.
+    """All vertices, deduplicated, in lexicographic order.
 
-    A vertex is the unique solution of some rank-many facet equalities that
-    satisfies every constraint.
+    A vertex is the unique solution of some rank-many facet equalities,
+    found by Cramer's rule (:func:`_solve`), that satisfies every constraint;
+    the check runs in integers on the numerators and the denominator.
     """
     _check_caps(P, "vertices")
     ints = [h.row for h in P.halfspaces]
     found = set()
     for subset in combinations(ints, P.rank):
-        sol = _solve_square([a for a, _ in subset], [b for _, b in subset], P.rank)
-        if sol is None:
-            continue
-        if all(sum(a * x for a, x in zip(row, sol)) >= b for row, b in ints):
-            found.add(sol)
-    return sorted(found)
+        sol = _solve(subset, P.rank)
+        if sol is not None:
+            num, den = sol
+            if all(sum(map(mul, a, num)) >= b * den for a, b in ints):
+                found.add(sol)
+    return sorted(tuple(Fraction(c, den) for c in num) for num, den in found)
 
 
 def lattice_points(
@@ -450,10 +428,10 @@ def lattice_points(
 def strongly_convex(vectors: Sequence[Sequence]) -> bool:
     """True iff no nonzero nonnegative combination of the vectors is zero.
 
-    Equivalent to the cone they generate containing no line.  Decided exactly:
-    the combination can be normalized to sum 1, so the question is whether the
-    origin lies in the convex hull, and by Caratheodory it suffices to examine
-    affinely independent subsets of at most dim+1 vectors.
+    Equivalent to the cone they generate containing no line.  By Gordan's
+    theorem of the alternative this holds iff some y has v.y > 0 for every
+    generator v, which is one Fourier-Motzkin feasibility call on strict
+    integer rows; a zero generator makes its row 0 > 0 infeasible.
     """
     vecs = [tuple(_frac(c) for c in v) for v in vectors]
     if not vecs:
@@ -461,25 +439,12 @@ def strongly_convex(vectors: Sequence[Sequence]) -> bool:
     if len(vecs) > GENERATOR_CAP:
         raise SizeLimit(f"strongly_convex: {len(vecs)} generators exceed cap {GENERATOR_CAP}")
     dim = len(vecs[0])
-    if dim > 8:
-        raise SizeLimit(f"strongly_convex: ambient dimension {dim} exceeds cap 8")
+    if dim > RANK_CAP:
+        raise SizeLimit(f"strongly_convex: ambient dimension {dim} exceeds cap {RANK_CAP}")
     for v in vecs:
         if len(v) != dim:
             raise ValueError("generators must share a common ambient dimension")
-    for size in range(1, min(len(vecs), dim + 1) + 1):
-        for subset in combinations(vecs, size):
-            # Solve sum t_i v_i = 0, sum t_i = 1 for the subset.
-            rows = [
-                [subset[i][coord] for i in range(size)] + [_ZERO] for coord in range(dim)
-            ]
-            rows.append([Fraction(1)] * size + [Fraction(1)])
-            pivots = _row_echelon(rows)
-            if size in pivots or len(pivots) != size:
-                continue  # inconsistent or affinely dependent subset
-            t = [rows[i][size] for i in range(size)]
-            if all(x >= 0 for x in t):
-                return False
-    return True
+    return _fm_feasible_point([(_primitive(v), 0, _GT) for v in vecs], dim) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -598,24 +563,16 @@ def arrangement_vertex_box(hyperplanes: Sequence[Halfspace]):
     """Integer bounding box of all rank-fold hyperplane intersection points.
 
     Every vertex of every bounded arrangement cell is such a point, so the box
-    contains the closure of every bounded cell.  Returns None when the
-    arrangement has no such points (and hence no bounded cells).
+    contains the closure of every bounded cell.  The points come from
+    Cramer's rule (:func:`_solve`) and are rounded outwards by integer
+    division.  Returns None when the arrangement has no such points (and
+    hence no bounded cells).
     """
     hps_int, rank = _arrangement_int(hyperplanes, "arrangement_vertex_box")
-    lo = [None] * rank
-    hi = [None] * rank
-    seen = False
-    for subset in combinations(hps_int, rank):
-        sol = _solve_square([a for a, _ in subset], [b for _, b in subset], rank)
-        if sol is None:
-            continue
-        seen = True
-        for i, c in enumerate(sol):
-            f, cc = floor(c), ceil(c)
-            if lo[i] is None or f < lo[i]:
-                lo[i] = f
-            if hi[i] is None or cc > hi[i]:
-                hi[i] = cc
-    if not seen:
+    points = [p for p in (_solve(s, rank) for s in combinations(hps_int, rank)) if p]
+    if not points:
         return None
-    return [(int(l), int(h)) for l, h in zip(lo, hi)]
+    return [
+        (min(num[i] // den for num, den in points), max(-(-num[i] // den) for num, den in points))
+        for i in range(rank)
+    ]

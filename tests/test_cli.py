@@ -221,6 +221,39 @@ class TestMalformedScalars:
         assert "Traceback" not in captured.err
 
 
+def rank8_stratum_config():
+    """Rank 8, one stratum of 16 walls whose weights span a pointed cone."""
+    walls = [
+        {"id": f"w{k}", "residue": [f"{c}/1" for c in [1] + [(7 * k + 3 * j) % 5 - 2 for j in range(7)]],
+         "joins": ["A", "B"]}
+        for k in range(16)
+    ]
+    return {"kind": "toric", "payload": {
+        "rank": 8,
+        "components": ["A", "B"],
+        "walls": walls,
+        "pieces": [{"component": "A", "region": {"rank": 8, "halfspaces": []}}],
+        "strata": [[w["id"] for w in walls]],
+        "base_component": "A",
+        "global_sign": 1,
+    }}
+
+
+class TestRankCap:
+    @pytest.mark.parametrize("command", ["validate", "quantize"])
+    def test_stratum_above_rank_cap_is_size_limit(self, tmp_path, capsys, command):
+        start = time.perf_counter()
+        code, payload = run_json(tmp_path, capsys, command, rank8_stratum_config())
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert payload == {
+            "error": {
+                "type": "SizeLimit",
+                "message": "strongly_convex: ambient dimension 8 exceeds cap 3",
+            }
+        }
+
+
 class TestQuantizeCommand:
     def test_s2_table(self, tmp_path, capsys):
         code, payload = run_json(tmp_path, capsys, "quantize", S2_CONFIG)

@@ -17,7 +17,6 @@ from logq import (
     is_bounded,
     is_empty,
     lattice_points,
-    recession_cone,
     strongly_convex,
     vertices,
 )
@@ -69,23 +68,6 @@ class TestIsEmpty:
     def test_rank_cap(self):
         with pytest.raises(SizeLimit):
             is_empty(Polyhedron(4, [Halfspace((1, 0, 0, 0), 0)]))
-
-
-class TestRecessionCone:
-    def test_interval(self):
-        cone = recession_cone(interval(0, 2))
-        assert all(h.offset == 0 for h in cone.halfspaces)
-        assert [h.normal for h in cone.halfspaces] == [(1,), (-1,)]
-        assert not is_empty(cone) and is_bounded(cone)  # the origin
-
-    def test_ray(self):
-        cone = recession_cone(interval(lo=3))
-        assert [(h.normal, h.offset) for h in cone.halfspaces] == [((1,), 0)]
-
-    def test_purely_syntactic_on_empty(self):
-        P = Polyhedron(1, [Halfspace((1,), 0), Halfspace((-1,), 1)])
-        assert is_empty(P)
-        assert not is_empty(recession_cone(P))  # homogenization is nonempty
 
 
 class TestIsBounded:
@@ -281,6 +263,11 @@ class TestStronglyConvex:
     def test_generator_cap(self):
         with pytest.raises(SizeLimit):
             strongly_convex([(1,)] * 17)
+
+    def test_dimension_cap(self):
+        assert strongly_convex([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        with pytest.raises(SizeLimit, match="ambient dimension 4 exceeds cap 3"):
+            strongly_convex([(1, 0, 0, 0)])
 
 
 class TestArrangementCells:
@@ -601,3 +588,91 @@ class TestSweepOracles:
         assert len(cells) == 19
         assert sum(c.bounded for c in cells) == 7
         assert ((1, 1, 1), True) in [(c.sign_vector, c.bounded) for c in cells]
+
+
+# ---------------------------------------------------------------------------
+# Independent oracles for vertices, the vertex box and strong convexity, by
+# Fraction Gaussian elimination in this file.
+
+
+def _fraction_vertices(P):
+    """Every feasible unique solution of rank-many facet equalities."""
+    found = set()
+    for sub in combinations(P.halfspaces, P.rank):
+        x = _solve([h.normal for h in sub], [h.offset for h in sub])
+        if x is not None and _fraction_member(P, x):
+            found.add(tuple(x))
+    return sorted(found)
+
+
+def _fraction_vertex_box(hps):
+    points = []
+    for sub in combinations(hps, len(hps[0].normal)):
+        x = _solve([h.normal for h in sub], [h.offset for h in sub])
+        if x is not None:
+            points.append(x)
+    if not points:
+        return None
+    return [(floor(min(c)), ceil(max(c))) for c in zip(*points)]
+
+
+def _origin_in_hull(vecs):
+    """Caratheodory: 0 is a convex combination of the vectors iff it is one of
+    an affinely independent subset, whose weights are then unique."""
+    dim = len(vecs[0])
+    rhs = [0] * dim + [1]
+    for k in range(1, min(len(vecs), dim + 1) + 1):
+        for sub in combinations(vecs, k):
+            cols = [tuple(v) + (1,) for v in sub]
+            if _rank_of(cols) < k:
+                continue  # affinely dependent
+            rows = list(zip(*cols))  # sum_i t_i (v_i, 1) = (0, 1)
+            basis = []
+            for i in range(len(rows)):
+                if _rank_of([rows[j] for j in basis + [i]]) > len(basis):
+                    basis.append(i)
+            t = _solve([rows[i] for i in basis], [rhs[i] for i in basis])
+            if all(_dot(r, t) == b for r, b in zip(rows, rhs)) and min(t) >= 0:
+                return True
+    return False
+
+
+@st.composite
+def _generators(draw):
+    """Rank 1-3 cone generators, some zero, some rational, some a multiple
+    (possibly negative) of an earlier one."""
+    dim = draw(st.integers(1, 3))
+    coord = st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    vecs = []
+    for _ in range(draw(st.integers(1, 7))):
+        how = draw(st.sampled_from(["new"] * 4 + ["multiple"] * 2 + ["zero"])) if vecs else "new"
+        if how == "zero":
+            vecs.append((0,) * dim)
+        elif how == "multiple":
+            scale = draw(st.sampled_from([-2, -1, Fraction(-1, 3), Fraction(1, 2), 3]))
+            vecs.append(tuple(c * scale for c in draw(st.sampled_from(vecs))))
+        else:
+            vecs.append(tuple(draw(st.lists(coord, min_size=dim, max_size=dim))))
+    return vecs
+
+
+class TestCramerOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(_arrangement(max_size=7))
+    def test_vertices_match_fraction_solve(self, hps):
+        P = Polyhedron(len(hps[0].normal), hps)
+        got = vertices(P)
+        assert all(type(c) is Fraction for v in got for c in v)
+        assert got == _fraction_vertices(P)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_arrangement(max_size=7))
+    def test_vertex_box_matches_fraction_solve(self, hps):
+        box = arrangement_vertex_box(hps)
+        assert box == _fraction_vertex_box(hps)
+        assert box is None or all(type(c) is int for interval in box for c in interval)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_generators())
+    def test_strongly_convex_matches_caratheodory(self, vecs):
+        assert strongly_convex(vecs) == (not _origin_in_hull(vecs))
