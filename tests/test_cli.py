@@ -223,10 +223,10 @@ class TestMalformedScalars:
 
 def rank8_stratum_config():
     """Rank 8, one stratum of 16 walls whose weights span a pointed cone."""
+    residues = [[1] + [(7 * k + 3 * j) % 5 - 2 for j in range(7)] for k in range(16)]
     walls = [
-        {"id": f"w{k}", "residue": [f"{c}/1" for c in [1] + [(7 * k + 3 * j) % 5 - 2 for j in range(7)]],
-         "joins": ["A", "B"]}
-        for k in range(16)
+        {"id": f"w{k}", "residue": [f"{c}/1" for c in r], "joins": ["A", "B"]}
+        for k, r in enumerate(residues)
     ]
     return {"kind": "toric", "payload": {
         "rank": 8,

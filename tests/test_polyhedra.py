@@ -642,7 +642,7 @@ def _generators(draw):
     """Rank 1-3 cone generators, some zero, some rational, some a multiple
     (possibly negative) of an earlier one."""
     dim = draw(st.integers(1, 3))
-    coord = st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    coord = st.one_of(st.integers(-2, 2), _offset)
     vecs = []
     for _ in range(draw(st.integers(1, 7))):
         how = draw(st.sampled_from(["new"] * 4 + ["multiple"] * 2 + ["zero"])) if vecs else "new"
