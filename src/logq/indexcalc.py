@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import polyhedra, toricmodel
@@ -161,7 +162,7 @@ def quantize_lattice(d: ToricLogData, *, box_cap: int = polyhedra.BOX_VOLUME_CAP
         for cell, point in polyhedra.arrangement_cells_with_points(hyperplanes):
             if cell.bounded:
                 continue
-            s = _signed_indicator(d, o, point)
+            s = _signed_indicator(d, o, *polyhedra._integer_point(point))
             if s:
                 raise InfiniteSupport(
                     f"signed indicator is {s} on unbounded cell {cell.sign_vector}"
@@ -189,9 +190,19 @@ def reduced_multiplicity(d: ToricLogData, weight: Iterable[int]) -> int:
     return _signed_indicator(d, toricmodel.signs(d), w)
 
 
-def _signed_indicator(d: ToricLogData, o: Sequence[int], point) -> int:
-    """Sum of the piece signs ``o`` over the pieces that contain the point."""
-    return sum(oj for oj, piece in zip(o, d.pieces) if piece.region.contains(point))
+def _signed_indicator(d: ToricLogData, o: Sequence[int], p, q: int = 1) -> int:
+    """Sum of the piece signs ``o`` over the pieces that contain the point
+    p / q, given as integer numerators over a positive denominator; each
+    piece's integer rows are checked directly."""
+    total = 0
+    for oj, piece in zip(o, d.pieces):
+        for h in piece.region.halfspaces:
+            a, b = h.row
+            if sum(map(mul, a, p)) < b * q:
+                break
+        else:
+            total += oj
+    return total
 
 
 def atiyah_bott(

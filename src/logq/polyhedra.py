@@ -3,16 +3,20 @@
 Everything is exact, with no tolerances.  Each halfspace is
 compiled once, when it is built, to a primitive integer row, and one small
 kernel works on those rows: Fourier-Motzkin elimination (feasibility with a
-witness), the generalized cross product and the determinant.  Feasibility
-and emptiness are one FM call; boundedness reads the sign vectors of the
-candidate extreme rays of the recession cone, cross products computed once
-per arrangement in the cell sweep; vertices and the arrangement vertex box
-solve square systems by Cramer's rule, as the cross product of the augmented
-rows; lattice points come from a scanline over a box (the last coordinate's
-integer interval in closed form); and strong convexity is Gordan's
-alternative, one FM call on strict rows.  Hard caps keep inputs at the
-intended desk scale; exceeding them raises :class:`SizeLimit` rather than
-silently truncating.
+witness), the generalized cross product and the determinant.  FM serves
+only emptiness (one call) and strong convexity (Gordan's alternative, one
+call on strict rows).  The arrangement sweep finds every cell as a region
+of the restriction of the arrangement to the cell's flat: a flat is an
+integer point over a denominator plus an integer basis, cutting it by a
+hyperplane is one integer elimination, and each region is a region of a
+lower flat pushed off a hyperplane by an integer step too short to cross
+any other.  Boundedness reads the sign vectors of the candidate extreme
+rays of the recession cone, cross products computed once per arrangement;
+vertices and the arrangement vertex box solve square systems by Cramer's
+rule, as the cross product of the augmented rows; and lattice points come
+from a scanline over a box (the last coordinate's integer interval in
+closed form).  Hard caps keep inputs at the intended desk scale; exceeding
+them raises :class:`SizeLimit` rather than silently truncating.
 """
 from __future__ import annotations
 
@@ -32,8 +36,8 @@ ARRANGEMENT_CAP = 12
 BOX_VOLUME_CAP = 10_000_000
 GENERATOR_CAP = 16
 
-# Relation kinds for the integer constraint kernel: a.x >= b, a.x > b, a.x == b.
-_GE, _GT, _EQ = 0, 1, 2
+# Relation kinds for the integer constraint kernel: a.x >= b, a.x > b.
+_GE, _GT = 0, 1
 
 _ZERO = Fraction(0)
 
@@ -188,15 +192,7 @@ def _fm_feasible_point(cons, nvars):
     Strict inequalities are tracked through the elimination, so the witness
     satisfies them strictly.
     """
-    rows = []
-    for coeffs, rhs, kind in cons:
-        coeffs = tuple(coeffs)
-        if kind == _EQ:
-            rows.append(_normalize_row(coeffs, rhs, _GE))
-            rows.append(_normalize_row(tuple(-c for c in coeffs), -rhs, _GE))
-        else:
-            rows.append(_normalize_row(coeffs, rhs, kind))
-    system = _compress(rows, nvars)
+    system = _compress([_normalize_row(*row) for row in cons], nvars)
     if system is None:
         return None
     levels = []
@@ -451,72 +447,113 @@ def strongly_convex(vectors: Sequence[Sequence]) -> bool:
 # Hyperplane arrangements.
 
 
+def _flat_regions(hps, p, q, basis, mask, memo):
+    """Regions of the arrangement restricted to the flat p/q + span(basis),
+    stored in ``memo[mask]``, and those of every lower flat in their entries.
+
+    ``mask`` has bit i set iff hyperplane i contains the flat.  A region is
+    stored as its positive mask (the bits where a.x > b; the flat's mask is
+    zero and every other bit is negative) mapped to an integer witness (p, q).
+    A flat that no hyperplane cuts is one region.  Otherwise every region has
+    a facet, which is a region of the child flat cut out by some hyperplane
+    a.x = b; pushing each child region off that hyperplane to both sides
+    along d = sum c_k B_k, with c_k = a.B_k, finds them all.  ``memo`` is
+    keyed by mask, so a flat reached from several parents is solved once.
+    """
+    regions = memo[mask] = {}
+    # Tuples here are built from lists: tuple() of a generator allocates ten
+    # slots and shrinks, and the shrunk tuples then pile up unused in
+    # CPython's free list for their length (1 MB of peak RSS on welded_sweep).
+    dots = [tuple([sum(map(mul, a, v)) for v in basis]) for a, _ in hps]
+    seen = mask
+    for i, c in enumerate(dots):
+        if seen >> i & 1 or not any(c):
+            continue
+        a, b = hps[i]
+        j = next(k for k, x in enumerate(c) if x)
+        cj, bj = c[j], basis[j]
+        # The point of a.x = b on the line p/q + t * B_j, in integers.
+        u = b * q - sum(map(mul, a, p))
+        num = [cj * x + u * y for x, y in zip(p, bj)]
+        den = q * cj
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        num, den = tuple([x // g for x in num]), den // g
+        # a_h . d for every hyperplane h; the child flat is cut out by the
+        # hyperplanes whose restriction to the flat is parallel to a's and
+        # that pass through the point.
+        ad = [sum(map(mul, dh, c)) for dh in dots]
+        plus = minus = 0
+        for h, dh in enumerate(dots):
+            if ad[h] and all(x * cj == y * dh[j] for x, y in zip(dh, c)):
+                ah, bh = hps[h]
+                if sum(map(mul, ah, num)) == bh * den:
+                    if ad[h] > 0:
+                        plus |= 1 << h
+                    else:
+                        minus |= 1 << h
+        child = mask | plus | minus
+        seen |= child
+        if child not in memo:
+            sub = [
+                _primitive([cj * x - ck * y for x, y in zip(bk, bj)])
+                for k, (ck, bk) in enumerate(zip(c, basis))
+                if k != j
+            ]
+            _flat_regions(hps, num, den, sub, child, memo)
+        # At (2R w + s d) / (2R w_q), a.x - b has the numerator
+        # 2R (a.w - b w_q) + s a.d.  The first term is 0 or at least 2R in
+        # absolute value and |a.d| <= R, so only the hyperplanes through w
+        # change sign, each to the sign of s a.d.
+        d = [sum(map(mul, c, col)) for col in zip(*basis)]
+        r2 = 2 * max(map(abs, ad))
+        for pos, (pw, qw) in memo[child].items():
+            for key, s in ((pos | plus, 1), (pos | minus, -1)):
+                if key not in regions:
+                    pt = [r2 * x + s * y for x, y in zip(pw, d)]
+                    g = gcd(r2 * qw, *pt)
+                    regions[key] = (tuple([x // g for x in pt]), r2 * qw // g)
+    if seen == mask:
+        pos = 0
+        for i, (a, b) in enumerate(hps):
+            if sum(map(mul, a, p)) > b * q:
+                pos |= 1 << i
+        regions[pos] = (p, q)
+
+
 def _enumerate_cells(hps_int, rank):
     """All feasible sign vectors with a witness interior point and bounded flag.
 
-    Hyperplanes are inserted one at a time; a partial sign vector that is
-    already infeasible cannot become feasible, so pruning leaves the output
-    equal to the full 3^H sweep.  Each live cell carries an integer witness
-    (numerators, denominator) and is split with one FM call: a witness
-    strictly on side s0 of the new hyperplane settles that child, and the
-    relatively open cell meets the hyperplane iff it meets side -s0, where the
-    segment between the two witnesses crosses the hyperplane in closed form.
-    A witness on the hyperplane settles the 0 child, and then either both
-    sides are feasible or neither is.
+    Every cell is a region of the restriction of the arrangement to its flat,
+    the intersection of the hyperplanes that contain it (Zaslavsky).  The
+    flats are swept by recursion from the whole space (:func:`_flat_regions`),
+    each solved once and keyed by the mask of the hyperplanes that contain
+    it.  A flat is an integer point over a denominator plus an integer basis;
+    cutting it by a hyperplane is one integer elimination, and each region is
+    found by pushing a region of a lower flat off a hyperplane, in integers,
+    by a step too short to cross any other hyperplane.  No Fourier-Motzkin
+    call is made.
 
     A cell is bounded iff its closure's recession cone is the origin.  The
     candidate extreme rays of every such cone are computed once for the
     arrangement (:func:`_ray_masks`); a cell is unbounded iff some ray's sign
     vector agrees with the cell's wherever the ray's is nonzero.
     """
-    choices = [
-        {1: (a, b, _GT), -1: (tuple(-c for c in a), -b, _GT), 0: (a, b, _EQ)}
-        for a, b in hps_int
-    ]
-    live = [((), (0,) * rank, 1)]
-    for idx, (a, b) in enumerate(hps_int):
-        side = choices[idx]
-        nxt = []
-        for sv, p, q in live:
-            rows = [c[s] for c, s in zip(choices, sv)]
-            u = sum(map(mul, a, p)) - b * q
-            if not u:
-                nxt.append((sv + (0,), p, q))
-                for s in (-1, 1):
-                    y = _fm_feasible_point(rows + [side[s]], rank)
-                    if y is None:
-                        break
-                    nxt.append((sv + (s,), *_integer_point(y)))
-                continue
-            s0 = 1 if u > 0 else -1
-            nxt.append((sv + (s0,), p, q))
-            y = _fm_feasible_point(rows + [side[-s0]], rank)
-            if y is None:
-                continue
-            p2, q2 = _integer_point(y)
-            nxt.append((sv + (-s0,), p2, q2))
-            # w and u have opposite signs, so the crossing's denominator is nonzero.
-            w = sum(map(mul, a, p2)) - b * q2
-            num = [w * x - u * x2 for x, x2 in zip(p, p2)]
-            den = w * q - u * q2
-            g = gcd(den, *num)
-            if den < 0:
-                g = -g
-            nxt.append((sv + (0,), tuple(c // g for c in num), den // g))
-        live = nxt
+    memo = {}
+    unit = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
+    _flat_regions(hps_int, (0,) * rank, 1, unit, 0, memo)
     masks = _ray_masks([a for a, _ in hps_int], rank)
+    full = (1 << len(hps_int)) - 1
     out = []
-    for sv, p, q in live:
-        bounded = masks is not None
-        if bounded:
-            off_pos = off_neg = 0  # hyperplanes where a ray may not be + / -
-            for i, s in enumerate(sv):
-                if s <= 0:
-                    off_pos |= 1 << i
-                if s >= 0:
-                    off_neg |= 1 << i
-            bounded = all(rp & off_pos or rn & off_neg for rp, rn in masks)
-        out.append((sv, tuple(Fraction(c, q) for c in p), bounded))
+    for zero, regions in memo.items():
+        for pos, (p, q) in regions.items():
+            neg = full & ~(zero | pos)
+            bounded = masks is not None and all(
+                rp & ~pos or rn & ~neg for rp, rn in masks
+            )
+            sv = tuple([(pos >> i & 1) - (neg >> i & 1) for i in range(len(hps_int))])
+            out.append((sv, tuple([Fraction(c, q) for c in p]), bounded))
     out.sort(key=lambda t: t[0])
     return out
 

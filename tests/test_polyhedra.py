@@ -1,7 +1,10 @@
 """Exact polyhedral geometry tests."""
+import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from logq import (
     strongly_convex,
     vertices,
 )
+from logq import polyhedra
 from logq.polyhedra import arrangement_vertex_box
 
 
@@ -588,6 +592,78 @@ class TestSweepOracles:
         assert len(cells) == 19
         assert sum(c.bounded for c in cells) == 7
         assert ((1, 1, 1), True) in [(c.sign_vector, c.bounded) for c in cells]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_arrangement(max_size=8))
+    def test_sweep_needs_no_fm(self, hps):
+        fm = mock.patch.object(
+            polyhedra, "_fm_feasible_point", side_effect=AssertionError("FM call in the sweep")
+        )
+        with fm:
+            cells = arrangement_cells_with_points(hps)
+        assert [_arrangement_signs(hps, point) for _, point in cells] == [
+            c.sign_vector for c, _ in cells
+        ]
+
+    def test_hyperplane_in_both_orientations_and_a_parallel_one(self):
+        hps = [
+            Halfspace((1, 0), 0),
+            Halfspace((-1, 0), 0),
+            Halfspace((1, 0), 1),
+            Halfspace((0, 1), 0),
+        ]
+        cells = arrangement_cells_with_points(hps)
+        assert {c.sign_vector for c, _ in cells} == _brute_force_sign_vectors(hps)
+        assert len(cells) == 15
+        for cell, point in cells:
+            assert _arrangement_signs(hps, point) == cell.sign_vector
+        # The two points on y = 0 and the open segment between them.
+        assert sorted(c.sign_vector for c, _ in cells if c.bounded) == [
+            (0, 0, -1, 0),
+            (1, -1, -1, 0),
+            (1, -1, 0, 0),
+        ]
+
+
+def _axis_planes():
+    return [Halfspace([int(i == k) for i in range(3)], c) for k in range(3) for c in range(4)]
+
+
+def _cube_and_diagonals():
+    cube = [Halfspace([int(i == k) for i in range(3)], c) for k in range(3) for c in (0, 1)]
+    normals = [(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, -1, 0), (0, 1, -1)]
+    return cube + [Halfspace(n, 1) for n in normals]
+
+
+def _random_planes():
+    rng = random.Random(0)
+    return [
+        Halfspace(
+            [rng.randint(-5, 5) or 1 for _ in range(3)],
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        )
+        for _ in range(12)
+    ]
+
+
+class TestTwelvePlanes:
+    """The three fixed 12-plane rank-3 arrangements at the hyperplane cap."""
+
+    @pytest.mark.parametrize(
+        "planes, count",
+        [(_axis_planes, 729), (_cube_and_diagonals, 621), (_random_planes, 2017)],
+    )
+    def test_cells_match_zaslavsky_in_time(self, planes, count):
+        hps = planes()
+        start = time.perf_counter()
+        cells = arrangement_cells(hps)
+        elapsed = time.perf_counter() - start
+        assert len(cells) == count
+        regions = [c for c in cells if 0 not in c.sign_vector]
+        chi = _characteristic_polynomial(hps)
+        assert len(regions) == abs(sum(m * (-1) ** d for d, m in chi.items()))
+        assert sum(c.bounded for c in regions) == abs(sum(chi.values()))
+        assert elapsed < 5.0
 
 
 # ---------------------------------------------------------------------------
