@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -132,12 +131,6 @@ def _box_cap(config: JobConfig, args) -> int:
             return decode_int(config.options["box_cap"])
         except ValueError as exc:
             raise MalformedConfig(f"bad options.box_cap: {exc}") from exc
-    env = os.environ.get("LOGQ_BOX_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise MalformedConfig(f"bad LOGQ_BOX_CAP value {env!r}") from exc
     return polyhedra.BOX_VOLUME_CAP
 
 

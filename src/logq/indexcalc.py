@@ -162,7 +162,7 @@ def quantize_lattice(d: ToricLogData, *, box_cap: int = polyhedra.BOX_VOLUME_CAP
         for cell, point in polyhedra.arrangement_cells_with_points(hyperplanes):
             if cell.bounded:
                 continue
-            s = _signed_indicator(d, o, *polyhedra._integer_point(point))
+            s = _signed_indicator(d, o, *point)
             if s:
                 raise InfiniteSupport(
                     f"signed indicator is {s} on unbounded cell {cell.sign_vector}"
@@ -396,8 +396,10 @@ def qr_check(
                 w: fp_poly.coeff(sum(a * b for a, b in zip(w, xi))) for w in domain
             }
             fp_char = Character(rank, attributed)
-    support = set(lattice_char.support()) | set(fp_char.support())
-    table_domain = sorted(_shell(support, rank))
+    if rank == 1 or not agree:
+        # On agreement at rank >= 2 the table spans the same shell as xi's domain.
+        support = set(lattice_char.support()) | set(fp_char.support())
+        domain = sorted(_shell(support, rank))
     o = toricmodel.signs(d)
     table = tuple(
         (
@@ -406,7 +408,7 @@ def qr_check(
             fp_char.terms.get(w, 0),
             _signed_indicator(d, o, w),
         )
-        for w in table_domain
+        for w in domain
     )
     return QRReport(
         lattice_char=lattice_char,

@@ -2,8 +2,8 @@
 
 Everything is exact, with no tolerances.  Each halfspace is
 compiled once, when it is built, to a primitive integer row, and one small
-kernel works on those rows: Fourier-Motzkin elimination (feasibility with a
-witness), the generalized cross product and the determinant.  FM serves
+kernel works on those rows: Fourier-Motzkin elimination (feasibility), the
+generalized cross product and the determinant.  FM serves
 only emptiness (one call) and strong convexity (Gordan's alternative, one
 call on strict rows).  The arrangement sweep finds every cell as a region
 of the restriction of the arrangement to the cell's flat: a flat is an
@@ -38,8 +38,6 @@ GENERATOR_CAP = 16
 
 # Relation kinds for the integer constraint kernel: a.x >= b, a.x > b.
 _GE, _GT = 0, 1
-
-_ZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
@@ -165,7 +163,7 @@ def _normalize_row(coeffs: tuple[int, ...], rhs: int, kind: int):
     return (coeffs, rhs, kind)
 
 
-def _compress(rows, nvars):
+def _compress(rows):
     """Dedupe rows by coefficient vector, keeping the strongest; decide
     zero-coefficient rows on the spot.  Returns None when infeasible."""
     best: dict[tuple[int, ...], tuple[int, int]] = {}
@@ -184,18 +182,16 @@ def _compress(rows, nvars):
     return [(c, rb[0], rb[1]) for c, rb in best.items()]
 
 
-def _fm_feasible_point(cons, nvars):
-    """Fourier-Motzkin feasibility with a rational witness.
+def _fm_feasible(cons, nvars) -> bool:
+    """Fourier-Motzkin feasibility: True iff some rational point satisfies
+    every integer row (coeffs, rhs, kind) of ``cons``.
 
-    ``cons`` is a list of integer rows (coeffs, rhs, kind).  Returns an exact
-    interior point of the solution set, or None when the system is infeasible.
-    Strict inequalities are tracked through the elimination, so the witness
-    satisfies them strictly.
+    Each variable is eliminated by pairing its positive and negative rows; a
+    pair is strict when either row is, so strict rows stay strict.
     """
-    system = _compress([_normalize_row(*row) for row in cons], nvars)
+    system = _compress([_normalize_row(*row) for row in cons])
     if system is None:
-        return None
-    levels = []
+        return False
     for var in range(nvars - 1, -1, -1):
         pos, neg, rest = [], [], []
         for row in system:
@@ -206,8 +202,7 @@ def _fm_feasible_point(cons, nvars):
                 neg.append(row)
             else:
                 rest.append(row)
-        levels.append((var, pos + neg))
-        derived = list(rest)
+        derived = rest
         for (pa, pb, pk) in pos:
             pj = pa[var]
             for (na, nb, nk) in neg:
@@ -216,36 +211,10 @@ def _fm_feasible_point(cons, nvars):
                 rhs = nj * pb + pj * nb
                 kind = _GT if (pk == _GT or nk == _GT) else _GE
                 derived.append(_normalize_row(coeffs, rhs, kind))
-        system = _compress(derived, nvars)
+        system = _compress(derived)
         if system is None:
-            return None
-    values: list[Fraction] = [_ZERO] * nvars
-    for var, binding in reversed(levels):
-        lo = hi = None
-        lo_strict = hi_strict = False
-        for coeffs, rhs, kind in binding:
-            rest = Fraction(rhs) - sum(
-                Fraction(c) * values[i] for i, c in enumerate(coeffs) if i != var and c
-            )
-            bound = rest / coeffs[var]
-            if coeffs[var] > 0:
-                if lo is None or bound > lo or (bound == lo and kind == _GT):
-                    lo, lo_strict = bound, kind == _GT
-            else:
-                if hi is None or bound < hi or (bound == hi and kind == _GT):
-                    hi, hi_strict = bound, kind == _GT
-        if lo is None and hi is None:
-            values[var] = _ZERO
-        elif lo is None:
-            values[var] = hi - 1 if hi_strict else hi
-        elif hi is None:
-            values[var] = lo + 1 if lo_strict else lo
-        elif lo < hi:
-            values[var] = (lo + hi) / 2
-        else:
-            # lo == hi; both bounds non-strict or FM would have failed
-            values[var] = lo
-    return tuple(values)
+            return False
+    return True
 
 
 def _primitive(vec) -> tuple[int, ...]:
@@ -346,7 +315,7 @@ def _ge_rows(P: Polyhedron):
 def is_empty(P: Polyhedron) -> bool:
     """Exact emptiness test: True iff no rational point satisfies all halfspaces."""
     _check_caps(P, "is_empty")
-    return _fm_feasible_point(_ge_rows(P), P.rank) is None
+    return not _fm_feasible(_ge_rows(P), P.rank)
 
 
 def is_bounded(P: Polyhedron) -> bool:
@@ -440,7 +409,7 @@ def strongly_convex(vectors: Sequence[Sequence]) -> bool:
     for v in vecs:
         if len(v) != dim:
             raise ValueError("generators must share a common ambient dimension")
-    return _fm_feasible_point([(_primitive(v), 0, _GT) for v in vecs], dim) is not None
+    return _fm_feasible([(_primitive(v), 0, _GT) for v in vecs], dim)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +492,9 @@ def _flat_regions(hps, p, q, basis, mask, memo):
 
 
 def _enumerate_cells(hps_int, rank):
-    """All feasible sign vectors with a witness interior point and bounded flag.
+    """All feasible sign vectors with a witness interior point and bounded flag,
+    as triples (sign vector, (p, q), bounded).  The witness is the point p / q:
+    integer numerators p over a positive common denominator q, in lowest terms.
 
     Every cell is a region of the restriction of the arrangement to its flat,
     the intersection of the hyperplanes that contain it (Zaslavsky).  The
@@ -553,7 +524,7 @@ def _enumerate_cells(hps_int, rank):
                 rp & ~pos or rn & ~neg for rp, rn in masks
             )
             sv = tuple([(pos >> i & 1) - (neg >> i & 1) for i in range(len(hps_int))])
-            out.append((sv, tuple([Fraction(c, q) for c in p]), bounded))
+            out.append((sv, (p, q), bounded))
     out.sort(key=lambda t: t[0])
     return out
 
@@ -587,9 +558,10 @@ def arrangement_cells(hyperplanes: Sequence[Halfspace]) -> list[Cell]:
 
 def arrangement_cells_with_points(
     hyperplanes: Sequence[Halfspace],
-) -> list[tuple[Cell, tuple[Fraction, ...]]]:
-    """Like :func:`arrangement_cells` but pairs each cell with a rational
-    interior point of its relatively open region."""
+) -> list[tuple[Cell, tuple[tuple[int, ...], int]]]:
+    """Like :func:`arrangement_cells` but pairs each cell with an interior
+    point of its relatively open region, as ``(numerators, den)``: integer
+    numerators over a positive common denominator, in lowest terms."""
     hps_int, rank = _arrangement_int(hyperplanes, "arrangement_cells")
     return [
         (Cell(sv, bounded), pt) for sv, pt, bounded in _enumerate_cells(hps_int, rank)

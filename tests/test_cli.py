@@ -306,11 +306,14 @@ class TestQuantizeCommand:
         assert code == 2
         assert payload["error"]["type"] == "SizeLimit"
 
-    def test_box_cap_env(self, tmp_path, capsys, monkeypatch):
+    def test_box_cap_option_and_precedence(self, tmp_path, capsys, monkeypatch):
+        capped = dict(square_config(2), options={"box_cap": 3})
+        assert run(tmp_path, "quantize", capped) == 2
+        assert run(tmp_path, "quantize", capped, "--box-cap", "1000000") == 0
+        # The cap has two sources, the flag and the option; the environment is not one.
         monkeypatch.setenv("LOGQ_BOX_CAP", "3")
-        assert run(tmp_path, "quantize", square_config(2)) == 2
-        monkeypatch.setenv("LOGQ_BOX_CAP", "1000000")
         assert run(tmp_path, "quantize", square_config(2)) == 0
+        capsys.readouterr()
 
 
 class TestQRCheckCommand:

@@ -447,6 +447,28 @@ class TestQRCheck:
         assert report.fixedpoint_char.multiplicity((0, 2)) == 1
         assert report.lattice_char.multiplicity((0, 2)) == 0
 
+    def test_rank_two_table_shell_built_once_on_agreement(self, monkeypatch):
+        calls = []
+        shell = indexcalc._shell
+
+        def counting(weights, rank):
+            calls.append(rank)
+            return shell(weights, rank)
+
+        monkeypatch.setattr(indexcalc, "_shell", counting)
+        P = rect(0, 2, 0, 2)
+        report = qr_check(delzant(P), fixed_terms_delzant(P))
+        assert report.agree and len(calls) == 1
+        assert [w for w, *_ in report.per_weight_table] == sorted(
+            shell(report.lattice_char.support(), 2)
+        )
+        # On disagreement the table covers both supports, so it takes its own shell.
+        calls.clear()
+        report = qr_check(delzant(rect(0, 1, 0, 1)), fixed_terms_delzant(rect(0, 1, 0, 2)))
+        assert not report.agree and len(calls) == 2
+        support = set(report.lattice_char.support()) | set(report.fixedpoint_char.support())
+        assert [w for w, *_ in report.per_weight_table] == sorted(shell(support, 2))
+
     def test_rank_two_invalid_terms_raise_not_finite(self):
         # flipping one Brion vertex sign leaves a genuine rational function
         P = rect(0, 1, 0, 1)

@@ -3,7 +3,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
+from math import ceil, floor, gcd, lcm
 from unittest import mock
 
 import pytest
@@ -274,6 +274,15 @@ class TestStronglyConvex:
             strongly_convex([(1, 0, 0, 0)])
 
 
+def _witness_point(witness):
+    """The rational point of a sweep witness: integer numerators over a
+    positive common denominator, in lowest terms."""
+    p, q = witness
+    assert all(type(c) is int for c in p) and type(q) is int and q > 0
+    assert gcd(q, *p) == 1
+    return tuple(Fraction(c, q) for c in p)
+
+
 class TestArrangementCells:
     def test_single_hyperplane(self):
         cells = arrangement_cells([Halfspace((1,), 0)])
@@ -304,7 +313,8 @@ class TestArrangementCells:
 
     def test_witness_points_realize_signs(self):
         hps = [Halfspace((1, 0), 0), Halfspace((0, 1), 1), Halfspace((1, 1), 2)]
-        for cell, point in arrangement_cells_with_points(hps):
+        for cell, witness in arrangement_cells_with_points(hps):
+            point = _witness_point(witness)
             for h, s in zip(hps, cell.sign_vector):
                 val = sum(a * x for a, x in zip(h.normal, point))
                 if s > 0:
@@ -556,8 +566,8 @@ class TestSweepOracles:
         rank = len(hps[0].normal)
         # With no vertex box there is no bounded cell, and any box will do.
         box = arrangement_vertex_box(hps) or [(0, 0)] * rank
-        for cell, point in arrangement_cells_with_points(hps):
-            assert all(type(c) is Fraction for c in point)
+        for cell, witness in arrangement_cells_with_points(hps):
+            point = _witness_point(witness)
             assert _arrangement_signs(hps, point) == cell.sign_vector
             closure = _closure(hps, cell.sign_vector)
             leaves_box = any(
@@ -597,11 +607,11 @@ class TestSweepOracles:
     @given(_arrangement(max_size=8))
     def test_sweep_needs_no_fm(self, hps):
         fm = mock.patch.object(
-            polyhedra, "_fm_feasible_point", side_effect=AssertionError("FM call in the sweep")
+            polyhedra, "_fm_feasible", side_effect=AssertionError("FM call in the sweep")
         )
         with fm:
             cells = arrangement_cells_with_points(hps)
-        assert [_arrangement_signs(hps, point) for _, point in cells] == [
+        assert [_arrangement_signs(hps, _witness_point(w)) for _, w in cells] == [
             c.sign_vector for c, _ in cells
         ]
 
@@ -615,8 +625,8 @@ class TestSweepOracles:
         cells = arrangement_cells_with_points(hps)
         assert {c.sign_vector for c, _ in cells} == _brute_force_sign_vectors(hps)
         assert len(cells) == 15
-        for cell, point in cells:
-            assert _arrangement_signs(hps, point) == cell.sign_vector
+        for cell, witness in cells:
+            assert _arrangement_signs(hps, _witness_point(witness)) == cell.sign_vector
         # The two points on y = 0 and the open segment between them.
         assert sorted(c.sign_vector for c, _ in cells if c.bounded) == [
             (0, 0, -1, 0),
@@ -752,3 +762,48 @@ class TestCramerOracles:
     @given(_generators())
     def test_strongly_convex_matches_caratheodory(self, vecs):
         assert strongly_convex(vecs) == (not _origin_in_hull(vecs))
+
+
+def _cramer_bound(P):
+    """A bound on the coordinates of some point of P, if P is nonempty.
+
+    A minimal face of P contains the solution of a nonsingular square system
+    of at most rank rows of P's integer-scaled rows [a | b], with the other
+    coordinates set to 0.  By Cramer's rule each coordinate is a ratio of
+    determinants of those rows, with an integer denominator, so it is at most
+    M^rank in absolute value, M the largest 1-norm of a scaled row.
+    """
+    m = 1
+    for h in P.halfspaces:
+        row = h.normal + (h.offset,)
+        scale = lcm(*[c.denominator for c in row])
+        m = max(m, sum(abs(c * scale) for c in row))
+    return m**P.rank
+
+
+class TestIntegerKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_arrangement(max_size=6))
+    def test_is_empty_matches_box_vertices(self, hps):
+        # P is nonempty iff P cut by the box [-R, R]^r, with R past the Cramer
+        # bound, is a nonempty polytope, that is iff the cut has a vertex.
+        rank = len(hps[0].normal)
+        P = Polyhedron(rank, hps)
+        R = _cramer_bound(P) + 1
+        box = []
+        for j in range(rank):
+            unit = [int(i == j) for i in range(rank)]
+            box += [Halfspace(unit, -R), Halfspace([-c for c in unit], -R)]
+        cut = Polyhedron(rank, P.halfspaces + tuple(box))
+        assert is_empty(P) == (not _fraction_vertices(cut))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_arrangement(max_size=8))
+    def test_kernel_builds_no_fraction(self, hps):
+        P = Polyhedron(len(hps[0].normal), hps)
+        with mock.patch.object(
+            polyhedra, "Fraction", side_effect=AssertionError("Fraction built in the kernel")
+        ):
+            is_empty(P)
+            arrangement_cells_with_points(hps)
+            arrangement_vertex_box(hps)
