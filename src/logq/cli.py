@@ -61,7 +61,7 @@ def load_config(text: str) -> JobConfig:
     on any defect."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedConfig(f"config is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedConfig("config must be a JSON object")
@@ -239,15 +239,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_text(args) -> str:
-    if args.stdin:
-        return sys.stdin.read()
-    if args.config is not None:
-        try:
-            return args.config.read_text()
-        except OSError as exc:
-            raise MalformedConfig(f"cannot read config {args.config}: {exc}") from exc
-    raise MalformedConfig("no job config given; use --config PATH or --stdin")
+_PARSER = build_parser()
+
+
+def _read_config(path: Path | None) -> JobConfig:
+    """Read one job config from ``path``, or from stdin when it is None, and
+    decode it with :func:`load_config`; MalformedConfig on any defect."""
+    try:
+        text = sys.stdin.read() if path is None else path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedConfig(f"cannot read config {path or 'from stdin'}: {exc}") from exc
+    return load_config(text)
 
 
 def _emit(args, config_options: dict, payload: dict, lines: list[str]) -> None:
@@ -267,13 +269,6 @@ def _emit(args, config_options: dict, payload: dict, lines: list[str]) -> None:
         print(dumps(payload))
 
 
-def _run_single(args, text: str) -> int:
-    config = load_config(text)
-    payload, lines, code = COMMANDS[args.command](config, args)
-    _emit(args, config.options, payload, lines)
-    return code
-
-
 def _run_batch(args) -> int:
     directory: Path = args.batch
     if not directory.is_dir():
@@ -283,7 +278,7 @@ def _run_batch(args) -> int:
     for path in sorted(directory.glob("*.json")):
         entry: dict = {"file": path.name}
         try:
-            config = load_config(path.read_text())
+            config = _read_config(path)
             payload, _, code = COMMANDS[args.command](config, args)
             entry["exit_code"] = code
             entry["agree"] = payload.get("agree")
@@ -299,14 +294,18 @@ def _run_batch(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.batch is not None and args.command != "qr-check":
-        parser.error("--batch is only valid with qr-check")
+        _PARSER.error("--batch is only valid with qr-check")
     try:
         if args.batch is not None:
             return _run_batch(args)
-        return _run_single(args, _read_config_text(args))
+        if not args.stdin and args.config is None:
+            raise MalformedConfig("no job config given; use --config PATH or --stdin")
+        config = _read_config(args.config)
+        payload, lines, code = COMMANDS[args.command](config, args)
+        _emit(args, config.options, payload, lines)
+        return code
     except LogqError as exc:
         code = _exit_code_for(exc)
         if not args.quiet:

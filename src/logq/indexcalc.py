@@ -90,6 +90,12 @@ class QRReport:
     ``per_weight_table`` rows are (weight, lattice multiplicity, fixed-point
     multiplicity, signed reduced-space point count), in lexicographic weight
     order over the union of supports padded by a 1-margin shell.
+
+    The reduced-space count equals the lattice multiplicity, so it is read
+    from ``lattice_char``: inside the arrangement vertex box both are the
+    signed indicator sum at the weight, and outside it the sum is zero (the
+    sweep certified it, or every piece is bounded and inside the box).
+    :func:`reduced_multiplicity` evaluates the sum point by point as a check.
     """
 
     lattice_char: Character
@@ -182,7 +188,8 @@ def reduced_multiplicity(d: ToricLogData, weight: Iterable[int]) -> int:
 
     This is the signed indicator sum of the pieces, evaluated at one lattice
     point; it equals the multiplicity of that weight in the lattice-count
-    quantization by construction.
+    quantization by construction, and is the point-by-point reference for the
+    ``reduced_points`` column of :func:`qr_check`'s table.
     """
     w = as_weight(weight)
     if len(w) != d.rank:
@@ -400,16 +407,8 @@ def qr_check(
         # On agreement at rank >= 2 the table spans the same shell as xi's domain.
         support = set(lattice_char.support()) | set(fp_char.support())
         domain = sorted(_shell(support, rank))
-    o = toricmodel.signs(d)
-    table = tuple(
-        (
-            w,
-            lattice_char.terms.get(w, 0),
-            fp_char.terms.get(w, 0),
-            _signed_indicator(d, o, w),
-        )
-        for w in domain
-    )
+    lat, fp = lattice_char.terms, fp_char.terms
+    table = tuple((w, lat.get(w, 0), fp.get(w, 0), lat.get(w, 0)) for w in domain)
     return QRReport(
         lattice_char=lattice_char,
         fixedpoint_char=fp_char,

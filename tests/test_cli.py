@@ -221,6 +221,70 @@ class TestMalformedScalars:
         assert "Traceback" not in captured.err
 
 
+# Configs that cannot be read or decoded: (writer, start of the error message).
+UNREADABLE = {
+    "non-utf8": (
+        lambda path: path.write_bytes(b'{"kind": "s2_family", "payload": {"n1": "\xff"}}'),
+        "cannot read config",
+    ),
+    "directory": (lambda path: path.mkdir(), "cannot read config"),
+    "long-integer": (
+        lambda path: path.write_text(
+            '{"kind": "s2_family", "payload": {"n1": ' + "1" * 5000 + ', "n2": 3}}'
+        ),
+        "config is not valid JSON: Exceeds the limit",
+    ),
+    "deep-nesting": (
+        lambda path: path.write_text("[" * 200000),
+        "config is not valid JSON: maximum recursion depth exceeded",
+    ),
+}
+
+
+class TestUnreadableConfigs:
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_single_exit_3(self, tmp_path, capsys, case):
+        write, message = UNREADABLE[case]
+        path = tmp_path / "job.json"
+        write(path)
+        code = main(["qr-check", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "MalformedConfig"
+        assert error["message"].startswith(message)
+        assert "Traceback" not in captured.err
+
+    def test_strict_stdin_non_utf8_exit_3(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b'{"kind": "\xff"}'), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code = main(["validate", "--stdin"])
+        captured = capsys.readouterr()
+        assert code == 3
+        error = json.loads(captured.out)["error"]
+        assert error["message"].startswith("cannot read config from stdin: 'utf-8' codec")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_batch_entry_exit_3(self, tmp_path, capsys, case):
+        write, message = UNREADABLE[case]
+        (tmp_path / "a_good.json").write_text(dumps(S2_CONFIG))
+        write(tmp_path / "b_bad.json")
+        (tmp_path / "c_good.json").write_text(dumps(square_config(1)))
+        code = main(["qr-check", "--batch", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        out = json.loads(captured.out)
+        assert out["overall_exit"] == 3
+        assert [(r["file"], r["exit_code"]) for r in out["results"]] == [
+            ("a_good.json", 0), ("b_bad.json", 3), ("c_good.json", 0)
+        ]
+        error = out["results"][1]["error"]
+        assert error["type"] == "MalformedConfig"
+        assert error["message"].startswith(message)
+        assert "Traceback" not in captured.err
+
+
 def rank8_stratum_config():
     """Rank 8, one stratum of 16 walls whose weights span a pointed cone."""
     residues = [[1] + [(7 * k + 3 * j) % 5 - 2 for j in range(7)] for k in range(16)]
@@ -519,6 +583,15 @@ class TestOutputContract:
 
         monkeypatch.setattr("sys.stdin", io.StringIO(dumps(S2_CONFIG)))
         assert main(["quantize", "--stdin"]) == 0
+
+    def test_parser_is_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        def no_parser(*args, **kwargs):
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr("argparse.ArgumentParser", no_parser)
+        assert run(tmp_path, "quantize", S2_CONFIG) == 0
+        with pytest.raises(SystemExit):
+            main(["quantize", "--format", "xml"])
 
     def test_format_from_config_options(self, tmp_path, capsys):
         cfg = {**S2_CONFIG, "options": {"output_format": "table"}}

@@ -20,6 +20,7 @@ from logq import (
     PolytopePiece,
     RankMismatch,
     SizeLimit,
+    Stratum,
     SU2Char,
     ToricLogData,
     atiyah_bott,
@@ -35,7 +36,7 @@ from logq import (
     su2_decompose,
     weyl_char,
 )
-from logq import indexcalc, polyhedra
+from logq import indexcalc, polyhedra, toricmodel
 
 
 def rank1(mapping):
@@ -488,6 +489,118 @@ class TestQRCheck:
         weights = [w for w, *_ in report.per_weight_table]
         assert weights == sorted(weights)
         assert (-1,) in weights and (2,) in weights  # 1-margin shell
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_table_counts_no_point_twice(self, rank, monkeypatch):
+        def no_count(*args, **kwargs):
+            raise AssertionError("qr_check counted a point again")
+
+        calls, signs = [], toricmodel.signs
+        monkeypatch.setattr(indexcalc, "_signed_indicator", no_count)
+        monkeypatch.setattr(toricmodel, "signs", lambda d: calls.append(d) or signs(d))
+        P = box(tuple(range(-1, rank - 1)), tuple(range(1, rank + 1)))
+        d = delzant(P)
+        report = qr_check(d, fixed_terms_delzant(P))
+        assert report.agree and len(calls) == 1  # the one in quantize_lattice
+        assert [(a, b) for _, a, b, _ in report.per_weight_table] == [
+            (c, c) for *_, c in report.per_weight_table
+        ]
+
+
+def box(lo, hi):
+    rank = len(lo)
+    return Polyhedron(
+        rank,
+        [Halfspace(tuple(int(j == i) for j in range(rank)), lo[i]) for i in range(rank)]
+        + [Halfspace(tuple(-int(j == i) for j in range(rank)), -hi[i]) for i in range(rank)],
+    )
+
+
+def welded_box(lo, hi, chamfer):
+    """The lattice box lo <= x < hi as 2^rank welded orthants, and their Brion terms.
+
+    Component ``b`` (a bit tuple) carries the orthant x_i >= c_b[i], with
+    c_b[i] = hi[i] when bit i is set and lo[i] otherwise, and the
+    crossing-parity sign (-1)^|b|.  ``chamfer`` = (b, k) cuts the orthant of
+    component b by sum(x - c_b) >= k, which removes a simplex from the answer.
+    """
+    rank = len(lo)
+    comps = list(product((0, 1), repeat=rank))
+    name = {b: "C" + "".join(map(str, b)) for b in comps}
+    walls = [
+        DivisorWall(f"w{i}{name[b]}", tuple(int(j == i) for j in range(rank)),
+                    (name[b], name[b[:i] + (1,) + b[i + 1:]]))
+        for b in comps for i in range(rank) if not b[i]
+    ]
+    units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    pieces, terms = [], []
+    for b in comps:
+        c = tuple(hi[i] if b[i] else lo[i] for i in range(rank))
+        sign = -1 if sum(b) % 2 else 1
+        hs = [Halfspace(units[i], c[i]) for i in range(rank)]
+        if chamfer is not None and chamfer[0] == b:
+            k = chamfer[1]
+            hs.append(Halfspace((1,) * rank, sum(c) + k))
+            for j in range(rank):
+                mu = tuple(c[i] + k * (i == j) for i in range(rank))
+                ws = [units[j]] + [
+                    tuple(units[i][t] - units[j][t] for t in range(rank))
+                    for i in range(rank) if i != j
+                ]
+                terms.append(FixedPointTerm(sign, mu, ws))
+        else:
+            terms.append(FixedPointTerm(sign, c, units))
+        pieces.append(PolytopePiece(name[b], Polyhedron(rank, hs)))
+    d = ToricLogData(
+        rank=rank,
+        components=tuple(name[b] for b in comps),
+        walls=tuple(walls),
+        pieces=tuple(pieces),
+        strata=tuple(Stratum({w.id}) for w in walls),
+        base_component=name[comps[0]],
+    )
+    return d, terms
+
+
+@st.composite
+def welded_cases(draw):
+    """Welded boxes, some chamfered, with the Brion terms of a second box of
+    either sign added to the fixed-point side half of the time."""
+    rank = draw(st.integers(1, 3))
+    lo = draw(st.tuples(*[st.integers(-4, 4)] * rank))
+    hi = tuple(a + draw(st.integers(1, 3)) for a in lo)
+    chamfer = None
+    if rank > 1 and draw(st.booleans()):
+        b = draw(st.tuples(*[st.integers(0, 1)] * rank))
+        chamfer = (b, draw(st.integers(1, min(h - a for a, h in zip(lo, hi)))))
+    d, terms = welded_box(lo, hi, chamfer)
+    if draw(st.booleans()):
+        lo2 = draw(st.tuples(*[st.integers(-8, 8)] * rank))
+        hi2 = tuple(a + draw(st.integers(1, 2)) for a in lo2)
+        sign = draw(st.sampled_from([1, -1]))
+        terms += [FixedPointTerm(sign * t.sign, t.mu, t.weights)
+                  for t in fixed_terms_delzant(box(lo2, hi2))]
+    return d, terms
+
+
+class TestReducedPointsColumn:
+    @settings(max_examples=60, deadline=None)
+    @given(welded_cases())
+    def test_matches_reduced_multiplicity(self, case):
+        d, terms = case
+        assert not all(polyhedra.is_bounded(p.region) for p in d.pieces)
+        report = qr_check(d, terms)
+        for w, lat, _, red in report.per_weight_table:
+            assert red == reduced_multiplicity(d, w) == lat
+
+    def test_welded_box_is_the_box(self):
+        d, terms = welded_box((0, -1), (2, 1), ((1, 0), 1))
+        # The chamfer takes the corner (2, -1) out of orthant C10, of sign -1.
+        expected = {(x, y): 1 for x in (0, 1) for y in (-1, 0)}
+        expected[(2, -1)] = 1
+        report = qr_check(d, terms)
+        assert report.lattice_char == Character(2, expected)
+        assert report.agree
 
 
 class TestQRInvariantSuite:
