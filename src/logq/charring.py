@@ -28,60 +28,112 @@ def as_weight(coords: Iterable[int]) -> Weight:
     return w
 
 
-def _check_rank(weight: Weight, rank: int) -> None:
-    if len(weight) != rank:
-        raise RankMismatch(f"weight {weight} has length {len(weight)}, expected rank {rank}")
+class _IntMap:
+    """Immutable finite map from keys to nonzero integers.
+
+    The public constructor checks every key (``_check_key``) and value;
+    ``_trusted`` takes a map the package built from checked values.  A
+    subclass's own ``__slots__`` (a Character's rank) take part in equality,
+    hashing and the rank check of ``+``.
+    """
+
+    __slots__ = ("_map",)
+    _value_name = "multiplicity"
+
+    def _fill(self, items) -> None:
+        items = items.items() if isinstance(items, Mapping) else items
+        clean: dict = {}
+        for key, value in items:
+            key = self._check_key(key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{self._value_name} must be an integer, got {value!r}")
+            v = clean.get(key, 0) + value
+            if v:
+                clean[key] = v
+            elif key in clean:
+                del clean[key]
+        object.__setattr__(self, "_map", MappingProxyType(clean))
+
+    @classmethod
+    def _trusted(cls, clean: dict, *fields):
+        """Wrap ``clean``, a dict of valid keys to nonzero integers, unchecked."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(obj, name, value)
+        object.__setattr__(obj, "_map", MappingProxyType(clean))
+        return obj
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self._fields() != other._fields():
+            raise RankMismatch(f"cannot add characters of ranks {self.rank} and {other.rank}")
+        merged = Counter(self._map)
+        merged.update(other._map)
+        return self._trusted({k: v for k, v in merged.items() if v}, *self._fields())
+
+    def __neg__(self):
+        return self._trusted({k: -v for k, v in self._map.items()}, *self._fields())
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._fields() == other._fields() and self._map == other._map
+
+    def __hash__(self):
+        return hash((self._fields(), frozenset(self._map.items())))
+
+    def __bool__(self) -> bool:
+        return bool(self._map)
 
 
-class Character:
+class Character(_IntMap):
     """Finite integer-multiplicity map on the weight lattice of a rank-r torus.
 
     Zero multiplicities are never stored, so equality of the term maps is
     equality in the representation ring.  Instances are immutable.
     """
 
-    __slots__ = ("rank", "_terms")
+    __slots__ = ("rank",)
 
     def __init__(self, rank: int, terms: Mapping[Iterable[int], int] | Iterable = ()):
-        if not isinstance(rank, int) or rank < 1:
+        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
             raise ValueError(f"rank must be a positive integer, got {rank!r}")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Weight, int] = {}
-        for weight, mult in items:
-            w = as_weight(weight)
-            _check_rank(w, rank)
-            if isinstance(mult, bool) or not isinstance(mult, int):
-                raise TypeError(f"multiplicity must be an integer, got {mult!r}")
-            m = clean.get(w, 0) + mult
-            if m:
-                clean[w] = m
-            elif w in clean:
-                del clean[w]
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_terms", MappingProxyType(clean))
+        self._fill(terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Character is immutable")
+    def _check_key(self, weight) -> Weight:
+        w = as_weight(weight)
+        if len(w) != self.rank:
+            raise RankMismatch(f"weight {w} has length {len(w)}, expected rank {self.rank}")
+        return w
 
     @property
     def terms(self) -> Mapping[Weight, int]:
-        return self._terms
+        return self._map
 
     def multiplicity(self, weight: Iterable[int]) -> int:
-        w = as_weight(weight)
-        _check_rank(w, self.rank)
-        return self._terms.get(w, 0)
+        return self._map.get(self._check_key(weight), 0)
 
     def dimension(self) -> int:
         """Signed (virtual) dimension: the sum of all multiplicities."""
-        return sum(self._terms.values())
+        return sum(self._map.values())
 
     def invariant_part(self) -> int:
         """Multiplicity of the trivial weight."""
-        return self._terms.get((0,) * self.rank, 0)
+        return self._map.get((0,) * self.rank, 0)
 
     def support(self) -> tuple[Weight, ...]:
-        return tuple(sorted(self._terms))
+        return tuple(sorted(self._map))
 
     def specialize(self, xi: Iterable[int]) -> "LaurentPoly":
         """Restrict along the one-parameter subgroup ``xi``.
@@ -90,46 +142,19 @@ class Character:
         the caller has checked that pairing with ``xi`` is injective on the
         support.
         """
-        x = as_weight(xi)
-        _check_rank(x, self.rank)
+        x = self._check_key(xi)
         out: dict[int, int] = {}
-        for w, m in self._terms.items():
+        for w, m in self._map.items():
             e = sum(a * b for a, b in zip(w, x))
             v = out.get(e, 0) + m
             if v:
                 out[e] = v
             elif e in out:
                 del out[e]
-        return LaurentPoly(out)
-
-    def __add__(self, other: "Character") -> "Character":
-        if not isinstance(other, Character):
-            return NotImplemented
-        if self.rank != other.rank:
-            raise RankMismatch(f"cannot add characters of ranks {self.rank} and {other.rank}")
-        merged = Counter(self._terms)
-        merged.update(other._terms)
-        return Character(self.rank, merged)
-
-    def __neg__(self) -> "Character":
-        return Character(self.rank, {w: -m for w, m in self._terms.items()})
-
-    def __sub__(self, other: "Character") -> "Character":
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Character):
-            return NotImplemented
-        return self.rank == other.rank and dict(self._terms) == dict(other._terms)
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self._terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+        return LaurentPoly._trusted(out)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{w}: {m}" for w, m in sorted(self._terms.items()))
+        body = ", ".join(f"{w}: {m}" for w, m in sorted(self._map.items()))
         return f"Character(rank={self.rank}, {{{body}}})"
 
     def to_jsonable(self) -> dict:
@@ -137,7 +162,7 @@ class Character:
             "rank": self.rank,
             "terms": [
                 {"weight": [encode_int(c) for c in w], "mult": encode_int(m)}
-                for w, m in sorted(self._terms.items())
+                for w, m in sorted(self._map.items())
             ],
         }
 
@@ -151,32 +176,24 @@ class Character:
         return cls(rank, terms)
 
 
-class LaurentPoly:
+class LaurentPoly(_IntMap):
     """Univariate Laurent polynomial over Z in the variable t.
 
     Stored as a map exponent -> nonzero coefficient, so the canonical form is
     unique and equality is dictionary equality.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    _value_name = "coefficient"
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        clean: dict[int, int] = {}
-        for e, c in items:
-            if isinstance(e, bool) or not isinstance(e, int):
-                raise TypeError(f"exponent must be an integer, got {e!r}")
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise TypeError(f"coefficient must be an integer, got {c!r}")
-            v = clean.get(e, 0) + c
-            if v:
-                clean[e] = v
-            elif e in clean:
-                del clean[e]
-        object.__setattr__(self, "_coeffs", MappingProxyType(clean))
+        self._fill(coeffs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+    @staticmethod
+    def _check_key(e) -> int:
+        if isinstance(e, bool) or not isinstance(e, int):
+            raise TypeError(f"exponent must be an integer, got {e!r}")
+        return e
 
     @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
@@ -191,69 +208,45 @@ class LaurentPoly:
 
     @property
     def coeffs(self) -> Mapping[int, int]:
-        return self._coeffs
+        return self._map
 
     def coeff(self, exponent: int) -> int:
-        return self._coeffs.get(exponent, 0)
+        return self._map.get(exponent, 0)
 
     def min_exp(self):
-        return min(self._coeffs) if self._coeffs else None
+        return min(self._map) if self._map else None
 
     def max_exp(self):
-        return max(self._coeffs) if self._coeffs else None
+        return max(self._map) if self._map else None
 
     def is_symmetric(self) -> bool:
         """True when invariant under t -> 1/t."""
-        return all(self._coeffs.get(-e, 0) == c for e, c in self._coeffs.items())
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        merged = Counter(self._coeffs)
-        merged.update(other._coeffs)
-        return LaurentPoly(merged)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return all(self._map.get(-e, 0) == c for e, c in self._map.items())
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
-            return LaurentPoly({e: other * c for e, c in self._coeffs.items()})
+            return LaurentPoly({e: other * c for e, c in self._map.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
+        for e1, c1 in self._map.items():
+            for e2, c2 in other._map.items():
                 e = e1 + e2
                 v = out.get(e, 0) + c1 * c2
                 if v:
                     out[e] = v
                 elif e in out:
                     del out[e]
-        return LaurentPoly(out)
+        return LaurentPoly._trusted(out)
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return dict(self._coeffs) == dict(other._coeffs)
-
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
     def __repr__(self) -> str:
-        if not self._coeffs:
+        if not self._map:
             return "LaurentPoly(0)"
         parts = []
-        for e in sorted(self._coeffs):
-            c = self._coeffs[e]
+        for e in sorted(self._map):
+            c = self._map[e]
             if e == 0:
                 parts.append(f"{c}")
             elif e == 1:
@@ -264,7 +257,7 @@ class LaurentPoly:
 
     def to_character(self) -> Character:
         """Reinterpret as a rank-1 torus character."""
-        return Character(1, {(e,): c for e, c in self._coeffs.items()})
+        return Character._trusted({(e,): c for e, c in self._map.items()}, 1)
 
 
 class RationalTerm:
@@ -337,76 +330,43 @@ class RationalChar:
         return f"RationalChar({list(self.terms)!r})"
 
 
-class SU2Char:
+class SU2Char(_IntMap):
     """Virtual SU(2) character: finite multiplicities of the irreducibles V_j."""
 
-    __slots__ = ("_mults",)
+    __slots__ = ()
 
     def __init__(self, mults: Mapping[int, int] | Iterable = ()):
-        items = mults.items() if isinstance(mults, Mapping) else mults
-        clean: dict[int, int] = {}
-        for j, m in items:
-            if isinstance(j, bool) or not isinstance(j, int) or j < 0:
-                raise ValueError(f"highest weight must be a nonnegative integer, got {j!r}")
-            if isinstance(m, bool) or not isinstance(m, int):
-                raise TypeError(f"multiplicity must be an integer, got {m!r}")
-            v = clean.get(j, 0) + m
-            if v:
-                clean[j] = v
-            elif j in clean:
-                del clean[j]
-        object.__setattr__(self, "_mults", MappingProxyType(clean))
+        self._fill(mults)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SU2Char is immutable")
+    @staticmethod
+    def _check_key(j) -> int:
+        if isinstance(j, bool) or not isinstance(j, int) or j < 0:
+            raise ValueError(f"highest weight must be a nonnegative integer, got {j!r}")
+        return j
 
     @property
     def mults(self) -> Mapping[int, int]:
-        return self._mults
+        return self._map
 
     def multiplicity(self, j: int) -> int:
-        return self._mults.get(j, 0)
+        return self._map.get(j, 0)
 
     def to_laurent(self) -> LaurentPoly:
         """Expand into the character of the maximal torus."""
         out = LaurentPoly()
-        for j, m in self._mults.items():
+        for j, m in self._map.items():
             out = out + m * weyl_char(j)
         return out
 
-    def __add__(self, other: "SU2Char") -> "SU2Char":
-        if not isinstance(other, SU2Char):
-            return NotImplemented
-        merged = Counter(self._mults)
-        merged.update(other._mults)
-        return SU2Char(merged)
-
-    def __neg__(self) -> "SU2Char":
-        return SU2Char({j: -m for j, m in self._mults.items()})
-
-    def __sub__(self, other: "SU2Char") -> "SU2Char":
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, SU2Char):
-            return NotImplemented
-        return dict(self._mults) == dict(other._mults)
-
-    def __hash__(self):
-        return hash(frozenset(self._mults.items()))
-
-    def __bool__(self):
-        return bool(self._mults)
-
     def __repr__(self):
-        body = ", ".join(f"V_{j}: {m}" for j, m in sorted(self._mults.items()))
+        body = ", ".join(f"V_{j}: {m}" for j, m in sorted(self._map.items()))
         return f"SU2Char({{{body}}})"
 
     def to_jsonable(self) -> dict:
         return {
             "terms": [
                 {"j": encode_int(j), "mult": encode_int(m)}
-                for j, m in sorted(self._mults.items())
+                for j, m in sorted(self._map.items())
             ]
         }
 

@@ -19,7 +19,7 @@ from . import indexcalc, polyhedra, toricmodel
 from .charring import Character
 from .errors import InfiniteSupport, LogqError, MalformedConfig, NotFinite, RankMismatch
 from .indexcalc import FixedPointTerm
-from .jsonio import decode_int, dumps
+from .jsonio import _int_text, decode_int, dumps
 from .polyhedra import Polyhedron
 from .toricmodel import ToricLogData
 
@@ -146,11 +146,16 @@ def cmd_validate(config: JobConfig, args):
     return report.to_jsonable(), lines, EXIT_OK if report.ok else EXIT_VALIDATION
 
 
+def _weight_text(w) -> str:
+    """``str(list(w))``, with SizeLimit for an integer too long to print."""
+    return "[" + ", ".join(map(_int_text, w)) + "]"
+
+
 def _character_lines(char: Character) -> list[str]:
     lines = ["weight            multiplicity"]
     for w in char.support():
-        lines.append(f"{str(list(w)):<18} {char.terms[w]:>4}")
-    lines.append(f"dimension: {char.dimension()}")
+        lines.append(f"{_weight_text(w):<18} {_int_text(char.terms[w]):>4}")
+    lines.append(f"dimension: {_int_text(char.dimension())}")
     return lines
 
 
@@ -165,7 +170,9 @@ def cmd_qr_check(config: JobConfig, args):
     report = indexcalc.qr_check(data, terms, box_cap=_box_cap(config, args))
     lines = [f"agree: {report.agree}", "weight            lattice  fixed-point  reduced"]
     for w, a, b, c in report.per_weight_table:
-        lines.append(f"{str(list(w)):<18} {a:>7}  {b:>11}  {c:>7}")
+        lines.append(
+            f"{_weight_text(w):<18} {_int_text(a):>7}  {_int_text(b):>11}  {_int_text(c):>7}"
+        )
     return report.to_jsonable(), lines, EXIT_OK if report.agree else EXIT_MISMATCH
 
 
@@ -175,7 +182,7 @@ def cmd_mincoupling(config: JobConfig, args):
     result = indexcalc.mincoupling_index(*config.payload)
     lines = ["highest weight   multiplicity"]
     for j, m in sorted(result.mults.items()):
-        lines.append(f"V_{j:<14} {m:>4}")
+        lines.append(f"V_{_int_text(j):<14} {_int_text(m):>4}")
     return result.to_jsonable(), lines, EXIT_OK
 
 

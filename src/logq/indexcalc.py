@@ -47,7 +47,7 @@ class FixedPointTerm:
     weights: tuple[Weight, ...]
 
     def __init__(self, sign: int, mu: Iterable[int], weights: Iterable[Iterable[int]] = ()):
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         m = as_weight(mu)
         ws = tuple(as_weight(w) for w in weights)
@@ -180,7 +180,7 @@ def quantize_lattice(d: ToricLogData, *, box_cap: int = polyhedra.BOX_VOLUME_CAP
     for oj, piece in zip(o, d.pieces):
         for pt in polyhedra.lattice_points(piece.region, box, volume_cap=box_cap):
             terms[pt] += oj
-    return Character(rank, terms)
+    return Character._trusted({w: m for w, m in terms.items() if m}, rank)
 
 
 def reduced_multiplicity(d: ToricLogData, weight: Iterable[int]) -> int:

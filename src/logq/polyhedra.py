@@ -28,7 +28,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import SizeLimit
-from .jsonio import decode_fraction, decode_int, decode_list, encode_fraction
+from .jsonio import _int_text, decode_fraction, decode_int, decode_list, encode_fraction
 
 RANK_CAP = 3
 HALFSPACE_CAP = 16
@@ -367,7 +367,9 @@ def lattice_points(
     for lo, hi in box:
         volume *= max(0, hi - lo + 1)
     if volume > volume_cap:
-        raise SizeLimit(f"lattice_points: box volume {volume} exceeds cap {volume_cap}")
+        raise SizeLimit(
+            f"lattice_points: box volume {_int_text(volume)} exceeds cap {volume_cap}"
+        )
     if volume == 0:
         return []
     rows = [h.row for h in P.halfspaces]

@@ -127,7 +127,7 @@ class ToricLogData:
         base = str(base_component)
         if base not in comp_set:
             raise ValueError(f"base component {base!r} not among components")
-        if global_sign not in (1, -1):
+        if type(global_sign) is not int or global_sign not in (1, -1):
             raise ValueError(f"global_sign must be +1 or -1, got {global_sign!r}")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "components", comps)

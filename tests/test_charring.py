@@ -7,6 +7,8 @@ and re-expansion for SU(2) decompositions.
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from logq import (
     Character,
@@ -16,6 +18,7 @@ from logq import (
     RankMismatch,
     RationalChar,
     RationalTerm,
+    SU2Char,
     rational_to_laurent,
     su2_decompose,
     weyl_char,
@@ -229,6 +232,11 @@ class TestCanonicalForm:
         with pytest.raises(TypeError):
             LaurentPoly({0: 0.5})
 
+    @pytest.mark.parametrize("rank", [True, False, 1.0, 2.0, "1", 0, None])
+    def test_rank_must_be_positive_int(self, rank):
+        with pytest.raises(ValueError, match="rank must be a positive integer"):
+            Character(rank, {})
+
 
 class TestCharacterJson:
     def test_sorted_lexicographically(self):
@@ -246,3 +254,81 @@ class TestCharacterJson:
         obj = c.to_jsonable()
         assert obj["terms"][0]["mult"] == f"int:{2**70}"
         assert Character.from_jsonable(obj) == c
+
+
+# The three integer maps: (class, name of the map property, key strategy for a rank).
+INT_MAPS = {
+    "Character": (Character, "terms", lambda r: st.tuples(*[st.integers(-3, 3)] * r)),
+    "LaurentPoly": (LaurentPoly, "coeffs", lambda r: st.integers(-5, 5)),
+    "SU2Char": (SU2Char, "mults", lambda r: st.integers(0, 5)),
+}
+
+
+def build(name, rank, pairs):
+    cls = INT_MAPS[name][0]
+    return cls(rank, pairs) if cls is Character else cls(pairs)
+
+
+@st.composite
+def int_map_cases(draw):
+    """A class, a rank (used by Character only) and two lists of (key, value)
+    pairs with repeated keys and zero values."""
+    name = draw(st.sampled_from(sorted(INT_MAPS)))
+    rank = draw(st.integers(1, 3))
+    pairs = st.lists(st.tuples(INT_MAPS[name][2](rank), st.integers(-3, 3)), max_size=8)
+    return name, rank, draw(pairs), draw(pairs)
+
+
+class TestSharedIntMap:
+    """Sums, differences, negations and ``to_character`` are built without
+    the public constructor; they must be the values it would build."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_map_cases())
+    def test_results_match_public_constructor(self, case):
+        name, rank, p, q = case
+        cls, prop, _ = INT_MAPS[name]
+        a, b = build(name, rank, p), build(name, rank, q)
+        minus_q = [(k, -v) for k, v in q]
+        for got, pairs in [(a + b, p + q), (a - b, p + minus_q), (-b, minus_q)]:
+            want = build(name, rank, pairs)
+            assert type(got) is cls
+            assert got == want and hash(got) == hash(want)
+            assert repr(got) == repr(want)
+            assert dict(getattr(got, prop)) == dict(getattr(want, prop))
+            assert 0 not in getattr(got, prop).values()
+        if cls is LaurentPoly:
+            want = Character(1, [((k,), v) for k, v in p])
+            assert a.to_character() == want and hash(a.to_character()) == hash(want)
+        empty = a - a
+        assert not empty and not getattr(empty, prop)
+        assert empty == build(name, rank, []) and hash(empty) == hash(build(name, rank, []))
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            empty.foo = 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    def test_rank_mismatch(self, r1, r2, data):
+        assume(r1 != r2)
+        a = build("Character", r1, data.draw(st.lists(
+            st.tuples(INT_MAPS["Character"][2](r1), st.integers(-3, 3)), max_size=4)))
+        b = Character(r2, {})
+        for op in (lambda: a + b, lambda: a - b, lambda: b + a):
+            with pytest.raises(RankMismatch, match="cannot add characters of ranks"):
+                op()
+        assert a != b
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(-3, 3)), max_size=6))
+    def test_classes_never_equal(self, pairs):
+        """The same integer map in each class: no two of them are equal."""
+        values = [
+            Character(1, [((k,), v) for k, v in pairs]),
+            LaurentPoly(pairs),
+            SU2Char(pairs),
+        ]
+        for i, x in enumerate(values):
+            for y in values[i + 1:]:
+                assert x != y and not x == y
+                with pytest.raises(TypeError):
+                    x + y

@@ -221,6 +221,24 @@ class TestMalformedScalars:
         assert "Traceback" not in captured.err
 
 
+def point_config(offset, minus_offset, fixed_terms=None):
+    """A rank-1 toric job whose one piece is the point x >= offset, -x >= minus_offset."""
+    halfspaces = [
+        {"normal": ["1/1"], "offset": offset},
+        {"normal": ["-1/1"], "offset": minus_offset},
+    ]
+    config = {
+        "kind": "toric",
+        "payload": {"rank": 1, "components": ["C"], "walls": [], "strata": [],
+                    "base_component": "C",
+                    "pieces": [{"component": "C",
+                                "region": {"rank": 1, "halfspaces": halfspaces}}]},
+    }
+    if fixed_terms is not None:
+        config["fixed_terms"] = fixed_terms
+    return config
+
+
 # Configs that cannot be read or decoded: (writer, start of the error message).
 UNREADABLE = {
     "non-utf8": (
@@ -237,6 +255,10 @@ UNREADABLE = {
     "deep-nesting": (
         lambda path: path.write_text("[" * 200000),
         "config is not valid JSON: maximum recursion depth exceeded",
+    ),
+    "exponent-rational": (
+        lambda path: path.write_text(dumps(point_config("1e5000", "-1e5000"))),
+        "bad toric payload: expected a rational",
     ),
 }
 
@@ -282,6 +304,57 @@ class TestUnreadableConfigs:
         error = out["results"][1]["error"]
         assert error["type"] == "MalformedConfig"
         assert error["message"].startswith(message)
+        assert "Traceback" not in captured.err
+
+
+# The point x = N with N of 4300 digits, the most Python prints: the fixed-point
+# terms t^N/(1-t) + t^N/(1-t^-1) agree with it, and the table's shell weight
+# N + 1 has 4301 digits.
+BIG = "9" * 4300
+BIG_POINT = point_config(f"int:{BIG}", f"int:-{BIG}", [
+    {"sign": 1, "mu": [f"int:{BIG}"], "weights": [[1]]},
+    {"sign": 1, "mu": [f"int:{BIG}"], "weights": [[-1]]},
+])
+# A square of side 10^4299 - 1: its box volume has 8598 digits.
+BIG_SQUARE = square_config(int("9" * 4299))
+
+
+class TestUnprintableIntegers:
+    def test_point_itself_prints(self, tmp_path, capsys):
+        code, out = run_json(tmp_path, capsys, "quantize", BIG_POINT)
+        assert code == 0
+        assert out["terms"] == [{"weight": [f"int:{BIG}"], "mult": 1}]
+
+    @pytest.mark.parametrize("fmt", ["json", "table", "both"])
+    @pytest.mark.parametrize(
+        "command, config",
+        [("qr-check", BIG_POINT), ("quantize", BIG_SQUARE), ("qr-check", BIG_SQUARE)],
+        ids=["shell-weight", "box-volume", "box-volume-qr"],
+    )
+    def test_single_exit_2(self, tmp_path, capsys, command, config, fmt):
+        code = run(tmp_path, command, config, "--format", fmt)
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "SizeLimit"
+        assert error["message"].endswith("has too many digits to print")
+        assert "Traceback" not in captured.err and captured.err.startswith("logq: ")
+
+    @pytest.mark.parametrize(
+        "config", [BIG_POINT, BIG_SQUARE], ids=["shell-weight", "box-volume"]
+    )
+    def test_batch_entry_exit_2(self, tmp_path, capsys, config):
+        (tmp_path / "a_good.json").write_text(dumps(S2_CONFIG))
+        (tmp_path / "b_big.json").write_text(dumps(config))
+        (tmp_path / "c_good.json").write_text(dumps(square_config(1)))
+        code = main(["qr-check", "--batch", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        out = json.loads(captured.out)
+        assert [(r["file"], r["exit_code"]) for r in out["results"]] == [
+            ("a_good.json", 0), ("b_big.json", 2), ("c_good.json", 0)
+        ]
+        assert out["results"][1]["error"]["type"] == "SizeLimit"
         assert "Traceback" not in captured.err
 
 

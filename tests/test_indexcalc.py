@@ -36,7 +36,7 @@ from logq import (
     su2_decompose,
     weyl_char,
 )
-from logq import indexcalc, polyhedra, toricmodel
+from logq import charring, indexcalc, polyhedra, toricmodel
 
 
 def rank1(mapping):
@@ -295,6 +295,13 @@ class TestAtiyahBott:
     def test_mixed_rank_rejected(self):
         with pytest.raises(RankMismatch):
             atiyah_bott([FixedPointTerm(1, (0,)), FixedPointTerm(1, (0, 0))])
+
+
+class TestFixedPointTermSign:
+    @pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, 0, 2, "1"])
+    def test_only_int_plus_or_minus_one(self, sign):
+        with pytest.raises(ValueError, match="sign must be"):
+            FixedPointTerm(sign, (0,), ((1,),))
 
 
 class TestFixedTermsS2:
@@ -601,6 +608,31 @@ class TestReducedPointsColumn:
         report = qr_check(d, terms)
         assert report.lattice_char == Character(2, expected)
         assert report.agree
+
+
+class TestTrustedResults:
+    def test_no_key_checked_again(self, monkeypatch):
+        """Lattice counts, sums, negations and ``to_character`` are built from
+        keys the package has already checked, so none goes through
+        ``as_weight`` again."""
+        square = delzant(rect(0, 30, -5, 25))
+        welded, _ = welded_box((0, -1, 2), (3, 2, 4), ((1, 0, 1), 1))
+        want = [quantize_lattice(square), quantize_lattice(welded)]
+        a = Character(2, {(0, 0): 2, (1, -1): 1})
+        b = Character(2, {(0, 0): -2, (3, 3): 4})
+        p = LaurentPoly({-1: 2, 4: -3})
+
+        def no_check(coords):
+            raise AssertionError("a checked key went through as_weight again")
+
+        monkeypatch.setattr(charring, "as_weight", no_check)
+        got = [quantize_lattice(square), quantize_lattice(welded)]
+        assert got == want
+        assert len(got[0].terms) == 31 * 31 and got[1].dimension() == 3 * 3 * 2 - 1
+        assert dict((a + b).terms) == {(1, -1): 1, (3, 3): 4}
+        assert dict((a - b).terms) == {(0, 0): 4, (1, -1): 1, (3, 3): -4}
+        assert dict((-a).terms) == {(0, 0): -2, (1, -1): -1}
+        assert dict(p.to_character().terms) == {(-1,): 2, (4,): -3}
 
 
 class TestQRInvariantSuite:

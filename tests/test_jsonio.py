@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from logq import FixedPointTerm
+from logq import FixedPointTerm, SizeLimit, jsonio
 from logq.jsonio import decode_fraction, decode_int, dumps, encode_fraction, encode_int
 
 
@@ -26,6 +26,19 @@ class TestIntCodec:
         with pytest.raises(ValueError):
             decode_int(1.5)
 
+    @pytest.mark.parametrize("text", ["int: 5", "int:1_000", "int:\u0663", "int:5.0", "int:"])
+    def test_rejects_undocumented_digits(self, text):
+        with pytest.raises(ValueError, match="expected an integer"):
+            decode_int(text)
+
+    def test_unprintable_integer_is_size_limit(self):
+        big = 10**5000
+        with pytest.raises(SizeLimit, match="too many digits to print"):
+            encode_int(big)
+        with pytest.raises(SizeLimit):
+            jsonio._int_text(-big)
+        assert jsonio._int_text(-(10**4299)) == str(-(10**4299))
+
 
 class TestFractionCodec:
     def test_canonical_form(self):
@@ -46,6 +59,22 @@ class TestFractionCodec:
         for text in ("1/0", "0/0", "-3/0"):
             with pytest.raises(ValueError, match="zero denominator"):
                 decode_fraction(text)
+
+    def test_signs_and_ascii_digits(self):
+        assert decode_fraction("+3/4") == Fraction(3, 4)
+        assert decode_fraction("-6/04") == Fraction(-3, 2)
+        assert decode_fraction("int:-12") == Fraction(-12)
+        assert decode_fraction("int:+12") == Fraction(12)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e10000000", "1e5000", "1E3", "1.5", ".5", "1/2.0", " 3/4", "3/4 ", "3 / 4", "1_000",
+         "\u0663", "3/-4", "3/+4", "+", "", "1/", "/2", "0x10", "inf", "nan", "int:1_0",
+         "int: 5", "int:1e3", "int:"],
+    )
+    def test_undocumented_notation_rejected(self, text):
+        with pytest.raises(ValueError, match="expected a rational|expected an integer"):
+            decode_fraction(text)
 
 
 class TestStability:

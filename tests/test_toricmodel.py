@@ -302,3 +302,8 @@ class TestToricJson:
         for rank in (0, -1, True, "1", 1.0):
             with pytest.raises(ValueError, match="rank must be a positive integer"):
                 ToricLogData(rank=rank, components=("C",), base_component="C")
+
+    def test_global_sign_must_be_int_plus_or_minus_one(self):
+        for sign in (True, False, 1.0, -1.0, 0, 2, "1"):
+            with pytest.raises(ValueError, match="global_sign must be"):
+                ToricLogData(rank=1, components=("C",), base_component="C", global_sign=sign)
