@@ -143,14 +143,17 @@ def _facet_hyperplanes(d: ToricLogData) -> list[Halfspace]:
 def quantize_lattice(d: ToricLogData, *, box_cap: int = polyhedra.BOX_VOLUME_CAP) -> Character:
     """Signed lattice count of the polytope pieces, as a finite character.
 
-    When some piece is unbounded, the arrangement of all facet hyperplanes is
-    swept first: the signed indicator sum is constant on every relatively
-    open cell, so evaluating it at one interior point per unbounded cell
-    decides finiteness of the support.  A nonzero value there raises
-    :class:`InfiniteSupport`.  When every piece is bounded the sweep is
-    skipped: a finite signed sum of indicators of bounded sets is zero on
-    every unbounded cell.  The character is then accumulated over a box that
-    contains every bounded cell.
+    When some piece is unbounded, finiteness of the support is certified
+    first on the arrangement of all facet hyperplanes.  The signed indicator
+    sum is constant on every relatively open cell, and a piece holds a cell
+    iff the cell's sign vector puts none of the piece's facets on the wrong
+    side, so the sum is read off sign masks.  Only the unbounded cells are
+    listed, from the recession arrangement (:func:`polyhedra._unbounded_cells`),
+    with no witness point; a nonzero sum raises :class:`InfiniteSupport` for
+    the least such cell in sign-vector order.  When every piece is bounded
+    this sweep is skipped: a finite signed sum of indicators of bounded sets
+    is zero on every unbounded cell.  The character is then accumulated over
+    a box that contains every bounded cell.
     """
     o = _validated_signs(d)
     rank = d.rank
@@ -163,16 +166,9 @@ def quantize_lattice(d: ToricLogData, *, box_cap: int = polyhedra.BOX_VOLUME_CAP
             raise InfiniteSupport("facet-free pieces with nonzero total sign")
         return Character(rank, {})
     # The sweep's caps hold on both paths, with the sweep's error text.
-    polyhedra._arrangement_int(hyperplanes, "arrangement_cells")
+    rows, _ = polyhedra._arrangement_int(hyperplanes, "arrangement_cells")
     if not all(polyhedra.is_bounded(piece.region) for piece in d.pieces):
-        for cell, point in polyhedra.arrangement_cells_with_points(hyperplanes):
-            if cell.bounded:
-                continue
-            s = _signed_indicator(d, o, *point)
-            if s:
-                raise InfiniteSupport(
-                    f"signed indicator is {s} on unbounded cell {cell.sign_vector}"
-                )
+        _certify_finite(d, o, rows)
     box = polyhedra.arrangement_vertex_box(hyperplanes)
     if box is None:
         return Character(rank, {})
@@ -181,6 +177,44 @@ def quantize_lattice(d: ToricLogData, *, box_cap: int = polyhedra.BOX_VOLUME_CAP
         for pt in polyhedra.lattice_points(piece.region, box, volume_cap=box_cap):
             terms[pt] += oj
     return Character._trusted({w: m for w, m in terms.items() if m}, rank)
+
+
+def _certify_finite(d: ToricLogData, o: Sequence[int], rows) -> None:
+    """Raise :class:`InfiniteSupport` unless the signed indicator is zero on
+    every unbounded cell of the arrangement of the facet rows ``rows``.
+
+    A piece's facets are hyperplanes of the arrangement, so whether it holds
+    a cell is read off the cell's sign masks: the piece needs sign >= 0 on
+    the bits of ``ge`` and sign <= 0 on those of ``le``.  The error names the
+    least failing cell in sign-vector order.
+    """
+    index = {row: i for i, row in enumerate(rows)}
+    needs = []
+    for oj, piece in zip(o, d.pieces):
+        ge = le = 0
+        for h in piece.region.halfspaces:
+            i = index.get(h.row)
+            if i is not None:
+                ge |= 1 << i
+            else:
+                a, b = h.row
+                le |= 1 << index[(tuple([-c for c in a]), -b)]
+        needs.append((oj, ge, le))
+    full = (1 << len(rows)) - 1
+    least = None
+    for zero, pos in polyhedra._unbounded_cells(rows, d.rank):
+        neg = full & ~(zero | pos)
+        s = 0
+        for oj, ge, le in needs:
+            if not (ge & neg or le & pos):
+                s += oj
+        if s:
+            sv = tuple([(pos >> i & 1) - (neg >> i & 1) for i in range(len(rows))])
+            if least is None or sv < least[0]:
+                least = (sv, s)
+    if least is not None:
+        sv, s = least
+        raise InfiniteSupport(f"signed indicator is {s} on unbounded cell {sv}")
 
 
 def reduced_multiplicity(d: ToricLogData, weight: Iterable[int]) -> int:

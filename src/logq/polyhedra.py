@@ -11,12 +11,17 @@ integer point over a denominator plus an integer basis, cutting it by a
 hyperplane is one integer elimination, and each region is a region of a
 lower flat pushed off a hyperplane by an integer step too short to cross
 any other.  Boundedness reads the sign vectors of the candidate extreme
-rays of the recession cone, cross products computed once per arrangement;
-vertices and the arrangement vertex box solve square systems by Cramer's
-rule, as the cross product of the augmented rows; and lattice points come
-from a scanline over a box (the last coordinate's integer interval in
-closed form).  Hard caps keep inputs at the intended desk scale; exceeding
-them raises :class:`SizeLimit` rather than silently truncating.
+rays of the recession cone, cross products computed once per arrangement.
+The unbounded cells alone, which certify finite support, come from the
+recession arrangement without sweeping the bounded ones: each is a cell of
+the central arrangement of the normals paired with a cell of the
+hyperplanes whose normals vanish on it.  Vertices and the arrangement
+vertex box solve square systems by Cramer's rule, as the cross product of
+the augmented rows, with closed-form determinants up to 3x3; and lattice
+points come from a scanline over a box (the last coordinate's integer
+interval in closed form).  Hard caps keep inputs at the intended desk
+scale; exceeding them raises :class:`SizeLimit` rather than silently
+truncating.
 """
 from __future__ import annotations
 
@@ -229,14 +234,24 @@ def _primitive(vec) -> tuple[int, ...]:
 
 
 def _det(m) -> int:
-    """Determinant of a small square integer matrix, by Laplace expansion."""
-    if not m:
+    """Determinant of a square integer matrix of size 0 to 3, in closed form.
+
+    No caller needs more: every matrix is a square system or a minor of one
+    in at most ``RANK_CAP`` = 3 unknowns (Cramer's rule, cross products,
+    edge generators).
+    """
+    n = len(m)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    if n == 1:
+        return m[0][0]
+    if n == 0:
         return 1
-    return sum(
-        (-1) ** j * c * _det([row[:j] + row[j + 1:] for row in m[1:]])
-        for j, c in enumerate(m[0])
-        if c
-    )
+    raise ValueError(f"_det: size {n} exceeds the rank cap {RANK_CAP}")
 
 
 def _cross(rows, n) -> tuple[int, ...]:
@@ -493,6 +508,67 @@ def _flat_regions(hps, p, q, basis, mask, memo):
         regions[pos] = (p, q)
 
 
+def _sweep(hps_int, rank):
+    """Every cell of the arrangement, as ``{zero mask: {positive mask:
+    witness}}``, swept from the whole space by :func:`_flat_regions`."""
+    memo = {}
+    unit = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
+    _flat_regions(hps_int, (0,) * rank, 1, unit, 0, memo)
+    return memo
+
+
+def _unbounded_cells(hps_int, rank):
+    """The unbounded cells of the arrangement, as a set of (zero mask,
+    positive mask) pairs, found without sweeping the bounded ones.
+
+    A relatively open cell is unbounded iff it holds a ray x + s d (s >= 0)
+    with d != 0, and then its sign vector is that of x + s d for large s:
+    sign(a . d) on every hyperplane with a . d != 0, and the sign of x on the
+    rest, A_C.  So the unbounded cells are the pairs (C, K) (Zaslavsky,
+    Stanley): C a cell other than {0} of the central arrangement of the
+    distinct normal directions, and K a cell of A_C, the hyperplanes whose
+    normal is zero on C.  The all-zero central cell is {0} exactly when the
+    normals span; otherwise it is the common-kernel line space, A_C is the
+    whole arrangement and every cell is unbounded.  The central arrangement
+    is swept once, and each A_C once, cached by C's zero mask.
+    """
+    dirs: dict[tuple[int, ...], int] = {}
+    where = []  # per hyperplane: (bit of its direction, same orientation?)
+    for a, _ in hps_int:
+        g = gcd(*a)
+        a = tuple([c // g for c in a])
+        key = max(a, tuple([-c for c in a]))
+        where.append((1 << dirs.setdefault(key, len(dirs)), key == a))
+    central = _sweep([(c, 0) for c in dirs], rank)
+    spans = any(_det(m) for m in combinations(dirs, rank))
+    origin = (1 << len(dirs)) - 1
+    cells = set()
+    for zc, regions in central.items():
+        if zc == origin and spans:
+            continue
+        bits = [i for i, (k, _) in enumerate(where) if zc & k]
+        sub = _sweep([hps_int[i] for i in bits], rank)
+        inner = [
+            (_spread(zk, bits), _spread(pk, bits)) for zk, cs in sub.items() for pk in cs
+        ]
+        for pc in regions:
+            off = 0
+            for i, (k, same) in enumerate(where):
+                if not zc & k and bool(pc & k) == same:
+                    off |= 1 << i
+            cells.update([(zk, pk | off) for zk, pk in inner])
+    return cells
+
+
+def _spread(mask, bits):
+    """``mask`` over a sub-arrangement, with bit j moved to bit ``bits[j]``."""
+    out = 0
+    for j, i in enumerate(bits):
+        if mask >> j & 1:
+            out |= 1 << i
+    return out
+
+
 def _enumerate_cells(hps_int, rank):
     """All feasible sign vectors with a witness interior point and bounded flag,
     as triples (sign vector, (p, q), bounded).  The witness is the point p / q:
@@ -513,9 +589,7 @@ def _enumerate_cells(hps_int, rank):
     arrangement (:func:`_ray_masks`); a cell is unbounded iff some ray's sign
     vector agrees with the cell's wherever the ray's is nonzero.
     """
-    memo = {}
-    unit = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
-    _flat_regions(hps_int, (0,) * rank, 1, unit, 0, memo)
+    memo = _sweep(hps_int, rank)
     masks = _ray_masks([a for a, _ in hps_int], rank)
     full = (1 << len(hps_int)) - 1
     out = []

@@ -3,12 +3,22 @@ import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logq import (
+    DivisorWall,
+    Halfspace,
+    PolytopePiece,
+    ToricLogData,
+    arrangement_cells_with_points,
+    indexcalc,
+    reduced_multiplicity,
+)
 from logq.cli import COMMANDS, main
 from logq.jsonio import dumps
 from logq.polyhedra import Polyhedron
@@ -451,6 +461,90 @@ class TestQuantizeCommand:
         monkeypatch.setenv("LOGQ_BOX_CAP", "3")
         assert run(tmp_path, "quantize", square_config(2)) == 0
         capsys.readouterr()
+
+
+def _two_sided(rank, outer, inner):
+    """Pieces ``outer`` (sign +) and ``inner`` (sign -), given as (normal,
+    offset) rows, on the two sides of a wall."""
+    return ToricLogData(
+        rank=rank,
+        components=("A", "B"),
+        walls=(DivisorWall("w", (1,) + (0,) * (rank - 1), ("A", "B")),),
+        pieces=tuple(
+            PolytopePiece(c, Polyhedron(rank, [Halfspace(a, b) for a, b in rows]))
+            for c, rows in (("A", outer), ("B", inner))
+        ),
+        base_component="A",
+    )
+
+
+def _dilated(d, q):
+    """The data with every piece scaled by q: p lies in q P iff p / q lies in P."""
+    return replace(d, pieces=tuple(
+        PolytopePiece(
+            p.component,
+            Polyhedron(d.rank, [Halfspace(h.normal, h.offset * q) for h in p.region.halfspaces]),
+        )
+        for p in d.pieces
+    ))
+
+
+def _swept_message(d):
+    """The InfiniteSupport message read off the full sweep: the least
+    unbounded cell in sign-vector order with a nonzero signed indicator,
+    which ``reduced_multiplicity`` evaluates at the cell's witness p / q as
+    the lattice point p of the data dilated by q.  Also returns how many
+    unbounded cells fail."""
+    failing = []
+    for cell, (p, q) in arrangement_cells_with_points(indexcalc._facet_hyperplanes(d)):
+        if not cell.bounded:
+            s = reduced_multiplicity(_dilated(d, q), p)
+            if s:
+                failing.append(f"signed indicator is {s} on unbounded cell {cell.sign_vector}")
+    return failing[0], len(failing)
+
+
+# Each has several unbounded cells with a nonzero signed indicator, and facets
+# in both orientations of a hyperplane.
+INFINITE = {
+    "rank2": _two_sided(
+        2, [((1, 0), 0), ((0, 1), -1)], [((1, 0), 2), ((0, -1), -4)]
+    ),
+    "rank2-diagonal": _two_sided(
+        2, [((1, 0), 0), ((1, 1), 0)], [((1, 0), 1), ((-1, -1), -3), ((0, 1), -2)]
+    ),
+    "rank3": _two_sided(
+        3,
+        [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)],
+        [((1, 0, 0), 1), ((0, 1, 0), 0), ((0, 0, -1), -2)],
+    ),
+}
+
+
+class TestInfiniteSupportMessage:
+    @pytest.mark.parametrize("case", sorted(INFINITE))
+    def test_single_job(self, tmp_path, capsys, case):
+        d = INFINITE[case]
+        expected, failing = _swept_message(d)
+        assert failing >= 2
+        code, out = run_json(tmp_path, capsys, "quantize", {"kind": "toric", "payload": d.to_jsonable()})
+        assert code == 4
+        assert out["error"] == {"type": "InfiniteSupport", "message": expected}
+
+    @pytest.mark.parametrize("case", sorted(INFINITE))
+    def test_batch_entry(self, tmp_path, capsys, case):
+        d = INFINITE[case]
+        expected, _ = _swept_message(d)
+        config = {"kind": "toric", "payload": d.to_jsonable(), "fixed_terms": []}
+        (tmp_path / "a_good.json").write_text(dumps(S2_CONFIG))
+        (tmp_path / "b_infinite.json").write_text(dumps(config))
+        code = main(["qr-check", "--batch", str(tmp_path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 4
+        assert [(r["file"], r["exit_code"]) for r in out["results"]] == [
+            ("a_good.json", 0), ("b_infinite.json", 4)
+        ]
+        assert out["results"][1]["error"] == {"type": "InfiniteSupport", "message": expected}
 
 
 class TestQRCheckCommand:

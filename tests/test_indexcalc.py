@@ -2,9 +2,10 @@
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logq import (
@@ -158,7 +159,7 @@ def no_sweep(*args, **kwargs):
 
 class TestSweepSkip:
     def test_outer_box_minus_inner_box(self, monkeypatch):
-        monkeypatch.setattr(polyhedra, "arrangement_cells_with_points", no_sweep)
+        monkeypatch.setattr(polyhedra, "_unbounded_cells", no_sweep)
         d = two_sided(rect(0, 4, -1, 3), rect(1, 2, 0, Fraction(5, 2)))
         expected = Character(
             2,
@@ -175,7 +176,7 @@ class TestSweepSkip:
         ]
 
     def test_inner_piece_sticking_out(self, monkeypatch):
-        monkeypatch.setattr(polyhedra, "arrangement_cells_with_points", no_sweep)
+        monkeypatch.setattr(polyhedra, "_unbounded_cells", no_sweep)
         d = two_sided(interval(0, 3), interval(2, 6))
         assert quantize_lattice(d) == rank1({0: 1, 1: 1, 4: -1, 5: -1, 6: -1})
 
@@ -213,12 +214,18 @@ class TestSweepSkip:
             },
         )
         d = two_sided(box_poly(boxes[0]), box_poly(boxes[1]))
-        assert quantize_lattice(d) == expected
+        with mock.patch.object(polyhedra, "_unbounded_cells", no_sweep):
+            assert quantize_lattice(d) == expected
 
-    def test_unbounded_piece_still_swept(self):
+    def test_unbounded_piece_still_swept(self, monkeypatch):
         half_plane = Polyhedron(2, [Halfspace((1, 0), 0)])
+        d = two_sided(rect(0, 2, 0, 2), half_plane)
         with pytest.raises(InfiniteSupport):
-            quantize_lattice(two_sided(rect(0, 2, 0, 2), half_plane))
+            quantize_lattice(d)
+        # The name the tests above patch is the one the sweep runs through.
+        monkeypatch.setattr(polyhedra, "_unbounded_cells", no_sweep)
+        with pytest.raises(AssertionError, match="the arrangement sweep ran"):
+            quantize_lattice(d)
 
     def test_hyperplane_cap_keeps_sweep_error_text(self):
         normals = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, -1), (-1, 1),
@@ -227,6 +234,50 @@ class TestSweepSkip:
         with pytest.raises(SizeLimit) as info:
             quantize_lattice(d)
         assert str(info.value) == "arrangement_cells: 13 hyperplanes exceed cap 12"
+
+
+def _swept_outcome(d):
+    """The InfiniteSupport message of the full sweep (the least unbounded
+    cell, in sign-vector order, whose witness has a nonzero signed
+    indicator), or None when every unbounded cell sums to zero."""
+    o = toricmodel.signs(d)
+    hyperplanes = indexcalc._facet_hyperplanes(d)
+    for cell, point in polyhedra.arrangement_cells_with_points(hyperplanes):
+        if not cell.bounded:
+            s = indexcalc._signed_indicator(d, o, *point)
+            if s:
+                return f"signed indicator is {s} on unbounded cell {cell.sign_vector}"
+    return None
+
+
+_piece = st.integers(1, 3).flatmap(
+    lambda r: st.lists(
+        st.tuples(
+            st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any),
+            st.integers(-3, 3),
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(lambda rows: Polyhedron(r, [Halfspace(a, b) for a, b in rows]))
+)
+
+
+class TestFiniteSupportCertificate:
+    """The sign-mask certificate decides as the full sweep does, message and all."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_piece.flatmap(lambda P: st.tuples(st.just(P), _piece.filter(lambda Q: Q.rank == P.rank))))
+    def test_matches_full_sweep(self, pieces):
+        outer, inner = pieces
+        assume(not polyhedra.is_empty(outer) and not polyhedra.is_empty(inner))
+        d = two_sided(outer, inner)
+        expected = _swept_outcome(d)
+        if expected is None:
+            quantize_lattice(d, box_cap=10**5)
+        else:
+            with pytest.raises(InfiniteSupport) as info:
+                quantize_lattice(d, box_cap=10**5)
+            assert str(info.value) == expected
 
 
 class TestShell:

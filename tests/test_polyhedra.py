@@ -385,6 +385,24 @@ def _rank_of(rows):
     return rank
 
 
+def _fraction_det(rows):
+    """Determinant of a square rational matrix, by Gaussian elimination."""
+    m = [[Fraction(c) for c in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, len(m)):
+            f = m[i][col] / m[col][col]
+            m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return det
+
+
 def _solve(rows, rhs):
     """The unique solution of a square rational system, or None if singular."""
     n = len(rows)
@@ -674,6 +692,73 @@ class TestTwelvePlanes:
         assert len(regions) == abs(sum(m * (-1) ** d for d, m in chi.items()))
         assert sum(c.bounded for c in regions) == abs(sum(chi.values()))
         assert elapsed < 5.0
+
+
+def _unbounded_masks(hps):
+    """The unbounded cells of the full sweep, as (zero mask, positive mask)."""
+    rows = [h.row for h in hps]
+    out = set()
+    for sv, _, bounded in polyhedra._enumerate_cells(rows, len(hps[0].normal)):
+        if not bounded:
+            zero = sum(1 << i for i, c in enumerate(sv) if c == 0)
+            out.add((zero, sum(1 << i for i, c in enumerate(sv) if c > 0)))
+    return out
+
+
+def _recession_masks(hps):
+    return polyhedra._unbounded_cells([h.row for h in hps], len(hps[0].normal))
+
+
+class TestUnboundedCells:
+    """The recession route lists exactly the unbounded cells of the sweep."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_arrangement(max_size=8))
+    def test_matches_sweep(self, hps):
+        assert _recession_masks(hps) == _unbounded_masks(hps)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_single_hyperplane(self, rank):
+        hps = [Halfspace([1] + [0] * (rank - 1), Fraction(1, 2))]
+        # Rank 1: the two open rays; above, the plane itself is unbounded too.
+        expected = {(0, 0), (0, 1)} | ({(1, 0)} if rank > 1 else set())
+        assert _recession_masks(hps) == _unbounded_masks(hps) == expected
+
+    def test_parallel_hyperplanes(self):
+        hps = [Halfspace((1, 2), c) for c in (-1, 0, 3)] + [Halfspace((-2, -4), 1)]
+        assert _recession_masks(hps) == _unbounded_masks(hps)
+
+    def test_normals_that_do_not_span(self):
+        # Every cell contains a line along the third axis.
+        hps = [Halfspace((1, 0, 0), 0), Halfspace((0, 1, 0), 1), Halfspace((1, 1, 0), 3)]
+        cells = _unbounded_masks(hps)
+        assert len(cells) == len(arrangement_cells(hps))
+        assert _recession_masks(hps) == cells
+
+    @pytest.mark.parametrize("planes", [_axis_planes, _cube_and_diagonals, _random_planes])
+    def test_twelve_planes(self, planes):
+        hps = planes()
+        assert _recession_masks(hps) == _unbounded_masks(hps)
+
+
+class TestDet:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 3).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-10**12, 10**12) | st.integers(-3, 3), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_matches_fraction_elimination(self, rows):
+        m = [tuple(r) for r in rows]
+        assert polyhedra._det(m) == _fraction_det(m)
+
+    def test_past_rank_cap(self):
+        with pytest.raises(ValueError):
+            polyhedra._det([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
 
 
 # ---------------------------------------------------------------------------
