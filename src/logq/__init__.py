@@ -8,12 +8,9 @@ arithmetic) plus a cross-check harness certifying that they agree.
 from .charring import (
     Character,
     LaurentPoly,
-    RationalChar,
-    RationalTerm,
     SU2Char,
     Weight,
     as_weight,
-    rational_to_laurent,
     su2_decompose,
     weyl_char,
 )
@@ -41,6 +38,7 @@ from .indexcalc import (
     mincoupling_index,
     qr_check,
     quantize_lattice,
+    rational_to_laurent,
     reduced_multiplicity,
 )
 from .polyhedra import (

@@ -2,9 +2,9 @@
 
 Finite characters of a rank-r torus are integer-multiplicity functions on the
 weight lattice Z^r.  Univariate Laurent polynomials model characters of a
-circle, rational character expressions model fixed-point contributions of the
-form ``sign * t^mu / prod(1 - t^w)``, and SU(2) characters are recorded by
-highest weight.  Everything here is exact integer arithmetic; no floats.
+circle, and SU(2) characters are recorded by highest weight.  Fixed-point
+sums live in :mod:`logq.indexcalc`, which reduces them to Laurent
+polynomials.  Everything here is exact integer arithmetic; no floats.
 """
 from __future__ import annotations
 
@@ -12,9 +12,8 @@ from collections import Counter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import NotFinite, NotSU2Character, RankMismatch, SizeLimit
+from .errors import NotSU2Character, RankMismatch
 from .jsonio import decode_int, decode_list, encode_int
-from .polyhedra import BOX_VOLUME_CAP
 
 Weight = tuple[int, ...]
 
@@ -195,17 +194,6 @@ class LaurentPoly(_IntMap):
             raise TypeError(f"exponent must be an integer, got {e!r}")
         return e
 
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return cls({exponent: coefficient})
-
-    @classmethod
-    def one_minus(cls, w: int) -> "LaurentPoly":
-        """The factor 1 - t^w for nonzero w."""
-        if w == 0:
-            raise ValueError("factor weight must be nonzero")
-        return cls({0: 1, w: -1})
-
     @property
     def coeffs(self) -> Mapping[int, int]:
         return self._map
@@ -260,76 +248,6 @@ class LaurentPoly(_IntMap):
         return Character._trusted({(e,): c for e, c in self._map.items()}, 1)
 
 
-class RationalTerm:
-    """One summand ``sign * t^mu / prod_i (1 - t^(w_i))``.
-
-    Denominator weights are stored raw (no sign normalization) so orientation
-    conventions in fixed-point data stay visible.
-    """
-
-    __slots__ = ("sign", "mu", "denom")
-
-    def __init__(self, sign: int, mu: int, denom: Iterable[int] = ()):
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-        if isinstance(mu, bool) or not isinstance(mu, int):
-            raise TypeError(f"numerator exponent must be an integer, got {mu!r}")
-        d = tuple(sorted(denom))
-        for w in d:
-            if isinstance(w, bool) or not isinstance(w, int):
-                raise TypeError(f"denominator weight must be an integer, got {w!r}")
-            if w == 0:
-                raise ValueError("denominator weights must be nonzero")
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "denom", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalTerm is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalTerm):
-            return NotImplemented
-        return (self.sign, self.mu, self.denom) == (other.sign, other.mu, other.denom)
-
-    def __hash__(self):
-        return hash((self.sign, self.mu, self.denom))
-
-    def __repr__(self):
-        return f"RationalTerm({self.sign:+d}, mu={self.mu}, denom={list(self.denom)})"
-
-
-class RationalChar:
-    """Finite formal sum of rational terms.
-
-    A desk-scale stand-in for formal infinite character combinations: sums are
-    kept as exact rational expressions and only converted to honest finite
-    characters by :func:`rational_to_laurent`, which fails loudly when the sum
-    is not polynomial.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Iterable = ()):
-        lst = []
-        for t in terms:
-            if isinstance(t, RationalTerm):
-                lst.append(t)
-            else:
-                sign, mu, denom = t
-                lst.append(RationalTerm(sign, mu, denom))
-        object.__setattr__(self, "terms", tuple(lst))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalChar is immutable")
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return f"RationalChar({list(self.terms)!r})"
-
-
 class SU2Char(_IntMap):
     """Virtual SU(2) character: finite multiplicities of the irreducibles V_j."""
 
@@ -377,73 +295,6 @@ class SU2Char(_IntMap):
             j = decode_int(entry["j"])
             mults[j] = mults.get(j, 0) + decode_int(entry["mult"])
         return cls(mults)
-
-
-def _exact_div(num: LaurentPoly, den: LaurentPoly, max_terms: int):
-    """Exact quotient num/den in Z[t, 1/t], or None when it does not exist.
-
-    Peels from the lowest exponent.  Any exact quotient q satisfies
-    max(q) = max(num) - max(den), which bounds the loop; that span can be
-    astronomically wide, so a quotient of more than ``max_terms`` nonzero
-    terms raises :class:`SizeLimit`.
-    """
-    if not num:
-        return LaurentPoly()
-    work = dict(num.coeffs)
-    d_min = den.min_exp()
-    d_lead = den.coeff(d_min)
-    top = num.max_exp() - den.max_exp()
-    den_terms = tuple(den.coeffs.items())
-    quotient: dict[int, int] = {}
-    while work:
-        n_min = min(work)
-        e = n_min - d_min
-        if e > top:
-            return None
-        c, r = divmod(work[n_min], d_lead)
-        if r:
-            return None
-        quotient[e] = c
-        if len(quotient) > max_terms:
-            raise SizeLimit(f"rational_to_laurent: quotient exceeds cap {max_terms} terms")
-        for de, dc in den_terms:
-            k = e + de
-            v = work.get(k, 0) - c * dc
-            if v:
-                work[k] = v
-            elif k in work:
-                del work[k]
-    return LaurentPoly(quotient)
-
-
-def rational_to_laurent(r: RationalChar, *, max_terms: int = BOX_VOLUME_CAP) -> LaurentPoly:
-    """Collapse a rational character expression to a finite Laurent polynomial.
-
-    All terms are put over a common denominator (multiset maximum of the
-    factors ``1 - t^w``) and the quotient is computed by exact integer
-    division.  Raises :class:`NotFinite` when a nonzero remainder shows the
-    formal sum is not a finite character, and :class:`SizeLimit` when the
-    quotient has more than ``max_terms`` terms.
-    """
-    if not r.terms:
-        return LaurentPoly()
-    common: Counter = Counter()
-    for term in r.terms:
-        common |= Counter(term.denom)
-    numerator = LaurentPoly()
-    for term in r.terms:
-        extra = common - Counter(term.denom)
-        part = LaurentPoly.monomial(term.mu, term.sign)
-        for w in sorted(extra.elements()):
-            part = part * LaurentPoly.one_minus(w)
-        numerator = numerator + part
-    denominator = LaurentPoly({0: 1})
-    for w in sorted(common.elements()):
-        denominator = denominator * LaurentPoly.one_minus(w)
-    quotient = _exact_div(numerator, denominator, max_terms)
-    if quotient is None:
-        raise NotFinite("rational character sum does not reduce to a finite character")
-    return quotient
 
 
 def weyl_char(j: int) -> LaurentPoly:

@@ -3,11 +3,12 @@
 Route one counts lattice points of the polytope pieces with crossing-parity
 signs; when some piece is unbounded it first certifies that the signed
 indicator vanishes on every unbounded arrangement cell (so the result is an
-honest finite character).  Route two evaluates the Atiyah-Bott fixed-point
-sum as an exact rational character expression and reduces it by exact
-division.  ``qr_check`` runs both and reports their agreement weight by
-weight, which is the executable content of quantization commuting with
-reduction.
+honest finite character).  Route two sums the Atiyah-Bott fixed-point
+terms ``sign * t^mu / prod(1 - t^w)`` (:class:`FixedPointTerm`, the one
+term type of the package) over a common denominator and reduces the sum
+to a Laurent polynomial by exact division (:func:`rational_to_laurent`).
+``qr_check`` runs both and reports their agreement weight by weight, which
+is the executable content of quantization commuting with reduction.
 """
 from __future__ import annotations
 
@@ -17,18 +18,15 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from . import polyhedra, toricmodel
-from .charring import (
-    Character,
-    LaurentPoly,
-    RationalChar,
-    RationalTerm,
-    SU2Char,
-    Weight,
-    as_weight,
-    rational_to_laurent,
-    weyl_char,
+from .charring import Character, LaurentPoly, SU2Char, Weight, as_weight
+from .errors import (
+    InfiniteSupport,
+    NotDelzant,
+    NotFinite,
+    RankMismatch,
+    SizeLimit,
+    Unbounded,
 )
-from .errors import InfiniteSupport, NotDelzant, RankMismatch, Unbounded
 from .jsonio import decode_int, decode_list, encode_int
 from .polyhedra import Halfspace, Polyhedron
 from .toricmodel import ToricLogData
@@ -246,6 +244,94 @@ def _signed_indicator(d: ToricLogData, o: Sequence[int], p, q: int = 1) -> int:
     return total
 
 
+def _times_factor(p: dict[int, int], w: int) -> dict[int, int]:
+    """The product p * (1 - t^w) of an exponent -> coefficient map."""
+    out = dict(p)
+    for e, c in p.items():
+        out[e + w] = out.get(e + w, 0) - c
+    return out
+
+
+def _exact_div(num: dict[int, int], den: dict[int, int], max_terms: int):
+    """Exact quotient num/den in Z[t, 1/t], or None when it does not exist.
+
+    Both are exponent -> nonzero coefficient maps.  Peels from the lowest
+    exponent.  Any exact quotient q satisfies max(q) = max(num) - max(den),
+    which bounds the loop; that span can be astronomically wide, so a
+    quotient of more than ``max_terms`` nonzero terms raises
+    :class:`SizeLimit`.
+    """
+    if not num:
+        return LaurentPoly()
+    work = dict(num)
+    d_min = min(den)
+    d_lead = den[d_min]
+    top = max(num) - max(den)
+    den_terms = tuple(den.items())
+    quotient: dict[int, int] = {}
+    while work:
+        n_min = min(work)
+        e = n_min - d_min
+        if e > top:
+            return None
+        c, r = divmod(work[n_min], d_lead)
+        if r:
+            return None
+        quotient[e] = c
+        if len(quotient) > max_terms:
+            raise SizeLimit(f"rational_to_laurent: quotient exceeds cap {max_terms} terms")
+        for de, dc in den_terms:
+            k = e + de
+            v = work.get(k, 0) - c * dc
+            if v:
+                work[k] = v
+            elif k in work:
+                del work[k]
+    # Each peel clears the lowest exponent, so every e is set once, to c != 0.
+    return LaurentPoly._trusted(quotient)
+
+
+def rational_to_laurent(
+    terms: Sequence[FixedPointTerm], *, max_terms: int = polyhedra.BOX_VOLUME_CAP
+) -> LaurentPoly:
+    """Reduce a sum of rank-1 fixed-point terms to a finite Laurent polynomial.
+
+    All terms are put over a common denominator (multiset maximum of the
+    factors ``1 - t^w``) and the quotient is computed by exact integer
+    division.  Terms with the same weights are summed first, and the
+    numerator is accumulated in one dict.  Raises :class:`NotFinite` when
+    a nonzero remainder shows the formal sum is not a finite character,
+    and :class:`SizeLimit` when the quotient has more than ``max_terms``
+    terms.
+    """
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for t in terms:
+        if t.rank != 1:
+            raise RankMismatch("rational_to_laurent takes rank-1 fixed-point terms")
+        part = groups.setdefault(tuple(sorted(w for (w,) in t.weights)), {})
+        part[t.mu[0]] = part.get(t.mu[0], 0) + t.sign
+    common: Counter = Counter()
+    for ws in groups:
+        common |= Counter(ws)
+    numerator: dict[int, int] = {}
+    for ws, part in groups.items():
+        for w in (common - Counter(ws)).elements():
+            part = _times_factor(part, w)
+        for e, c in part.items():
+            numerator[e] = numerator.get(e, 0) + c
+    denominator = {0: 1}
+    for w in common.elements():
+        denominator = _times_factor(denominator, w)
+    quotient = _exact_div(
+        {e: c for e, c in numerator.items() if c},
+        {e: c for e, c in denominator.items() if c},
+        max_terms,
+    )
+    if quotient is None:
+        raise NotFinite("rational character sum does not reduce to a finite character")
+    return quotient
+
+
 def atiyah_bott(
     terms: Sequence[FixedPointTerm], *, box_cap: int = polyhedra.BOX_VOLUME_CAP
 ) -> Character:
@@ -265,10 +351,7 @@ def atiyah_bott(
         raise RankMismatch("fixed-point terms must share a common rank")
     if rank != 1:
         raise RankMismatch("direct evaluation requires rank 1; use qr_check for higher rank")
-    rat = RationalChar(
-        RationalTerm(t.sign, t.mu[0], [w[0] for w in t.weights]) for t in terms
-    )
-    return rational_to_laurent(rat, max_terms=box_cap).to_character()
+    return rational_to_laurent(terms, max_terms=box_cap).to_character()
 
 
 def fixed_terms_s2(n1: int, n2: int) -> list[FixedPointTerm]:
@@ -420,14 +503,14 @@ def qr_check(
     else:
         domain = sorted(_shell(lattice_char.support(), rank))
         xi = _specialization_xi(lattice_char, domain, terms)
-        specialized = RationalChar(
-            RationalTerm(
+        specialized = [
+            FixedPointTerm(
                 t.sign,
-                sum(a * b for a, b in zip(t.mu, xi)),
-                [sum(a * b for a, b in zip(w, xi)) for w in t.weights],
+                (sum(a * b for a, b in zip(t.mu, xi)),),
+                [(sum(a * b for a, b in zip(w, xi)),) for w in t.weights],
             )
             for t in terms
-        )
+        ]
         fp_poly = rational_to_laurent(specialized, max_terms=box_cap)
         agree = fp_poly == lattice_char.specialize(xi)
         if agree:

@@ -5,6 +5,8 @@ division for rational quotients, multiply-back checks for exact divisions,
 and re-expansion for SU(2) decompositions.
 """
 import random
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,12 +14,11 @@ from hypothesis import strategies as st
 
 from logq import (
     Character,
+    FixedPointTerm,
     LaurentPoly,
     NotFinite,
     NotSU2Character,
     RankMismatch,
-    RationalChar,
-    RationalTerm,
     SU2Char,
     rational_to_laurent,
     su2_decompose,
@@ -103,46 +104,72 @@ class TestMultiplicityAndFriends:
         assert Character(2, {(0, 0): 5, (1, 0): 7}).invariant_part() == 5
 
 
+def fp(sign, mu, weights=()):
+    """A rank-1 fixed-point term sign * t^mu / prod(1 - t^w)."""
+    return FixedPointTerm(sign, (mu,), [(w,) for w in weights])
+
+
+def interval_poly(intervals):
+    """Oracle for sum over [a, b) of (t^a - t^b) / (1 - t): count each exponent."""
+    counts = Counter(e for a, b in intervals for e in range(a, b))
+    return LaurentPoly({e: c for e, c in counts.items() if c})
+
+
 class TestRationalToLaurent:
     def test_one_minus_t_cубed_over_one_minus_t(self):
-        rat = RationalChar([(1, 0, (1,)), (-1, 3, (1,))])
-        assert rational_to_laurent(rat) == LaurentPoly({0: 1, 1: 1, 2: 1})
+        terms = [fp(1, 0, (1,)), fp(-1, 3, (1,))]
+        assert rational_to_laurent(terms) == LaurentPoly({0: 1, 1: 1, 2: 1})
 
     def test_empty(self):
-        assert rational_to_laurent(RationalChar()) == LaurentPoly()
+        assert rational_to_laurent([]) == LaurentPoly()
 
     def test_geometric_series_rejected(self):
         with pytest.raises(NotFinite):
-            rational_to_laurent(RationalChar([(1, 0, (1,))]))
+            rational_to_laurent([fp(1, 0, (1,))])
 
     def test_embedding_round_trip(self):
         rng = random.Random(5)
         for _ in range(30):
             p = LaurentPoly({rng.randrange(-5, 6): rng.randrange(-3, 4) for _ in range(4)})
             # p as denominator-free terms, one per unit of each coefficient
-            rat = RationalChar(
-                (1 if c > 0 else -1, e, ()) for e, c in p.coeffs.items() for _ in range(abs(c))
-            )
-            assert rational_to_laurent(rat) == p
+            terms = [
+                fp(1 if c > 0 else -1, e) for e, c in p.coeffs.items() for _ in range(abs(c))
+            ]
+            assert rational_to_laurent(terms) == p
 
     def test_negation_commutes(self):
-        rat = RationalChar([(1, 0, (1,)), (-1, 4, (1,)), (1, 2, (-2,)), (1, -2, (2,))])
-        direct = rational_to_laurent(rat)
+        terms = [fp(1, 0, (1,)), fp(-1, 4, (1,)), fp(1, 2, (-2,)), fp(1, -2, (2,))]
+        direct = rational_to_laurent(terms)
         assert direct == LaurentPoly({0: 2, 1: 1, 2: 2, 3: 1, -2: 1})
-        negated = RationalChar(RationalTerm(-t.sign, t.mu, t.denom) for t in rat.terms)
+        negated = [FixedPointTerm(-t.sign, t.mu, t.weights) for t in terms]
         assert rational_to_laurent(negated) == -direct
 
     def test_negative_denominator_weight(self):
         # t^2/(1-t^-2) + t^-2/(1-t^2); multiply-back oracle against weyl_char(2).
-        rat = RationalChar([(1, 2, (-2,)), (1, -2, (2,))])
-        got = rational_to_laurent(rat)
+        got = rational_to_laurent([fp(1, 2, (-2,)), fp(1, -2, (2,))])
         assert got == weyl_char(2)
 
     def test_non_integer_quotient_rejected(self):
         # (1 - t^2) / (1 - t)^2 is not a Laurent polynomial
-        rat = RationalChar([(1, 0, (1, 1)), (-1, 2, (1, 1))])
+        terms = [fp(1, 0, (1, 1)), fp(-1, 2, (1, 1))]
         with pytest.raises(NotFinite):
-            rational_to_laurent(rat)
+            rational_to_laurent(terms)
+
+    def test_rank_two_terms_rejected(self):
+        with pytest.raises(RankMismatch):
+            rational_to_laurent([FixedPointTerm(1, (0, 0), ((1, 0),))])
+
+    def test_many_alternating_terms_scale(self):
+        # 20 000 terms (-1)^i t^i/(1-t), the intervals [2k, 2k+1).  A
+        # numerator copied once per term is quadratic: 16.5 s on a 2-CPU
+        # x86-64 host, against 1.4 s when it is built in one dict.
+        intervals = [(2 * k, 2 * k + 1) for k in range(10_000)]
+        terms = [fp(s, e, (1,)) for a, b in intervals for s, e in ((1, a), (-1, b))]
+        start = time.perf_counter()
+        got = rational_to_laurent(terms)
+        elapsed = time.perf_counter() - start
+        assert got == interval_poly(intervals)
+        assert elapsed < 5.0, f"{elapsed:.2f} s"
 
 
 class TestSpecialize:

@@ -637,6 +637,69 @@ class TestQRCheckCommand:
         assert by_file["c_broken.json"]["exit_code"] == 3
 
 
+# Rank-2 fixed-point sums that qr_check decides wrongly, because it compares
+# the two routes only after specializing along one one-parameter subgroup.
+# Both jobs use the point {0} in rank 2.  These tests pin the sound verdicts
+# and fail until agreement is decided without specialization.
+POINT_2D = {
+    "rank": 2,
+    "halfspaces": [
+        {"normal": ["1/1", "0/1"], "offset": "0/1"},
+        {"normal": ["-1/1", "0/1"], "offset": "0/1"},
+        {"normal": ["0/1", "1/1"], "offset": "0/1"},
+        {"normal": ["0/1", "-1/1"], "offset": "0/1"},
+    ],
+}
+# +t^(3,-1): xi = (1, 3) sends it to t^0, so the projections match.
+SHIFTED_POINT_CONFIG = {
+    "kind": "delzant",
+    "payload": POINT_2D,
+    "fixed_terms": [{"sign": 1, "mu": [3, -1], "weights": []}],
+}
+# t^0/(1-t1) - t^(0,1)/(1-t1) is not a finite character.
+NOT_FINITE_POINT_CONFIG = {
+    "kind": "delzant",
+    "payload": POINT_2D,
+    "fixed_terms": [
+        {"sign": 1, "mu": [0, 0], "weights": [[1, 0]]},
+        {"sign": -1, "mu": [0, 1], "weights": [[1, 0]]},
+    ],
+}
+specialization_unsound = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="rank >= 2 agreement is decided on one specialization",
+)
+
+
+@specialization_unsound
+class TestSpecializationRepros:
+    def test_shifted_point_single(self, tmp_path, capsys):
+        code, out = run_json(tmp_path, capsys, "qr-check", SHIFTED_POINT_CONFIG)
+        assert (code, out["agree"]) == (5, False)
+
+    def test_shifted_point_batch(self, tmp_path, capsys):
+        (tmp_path / "job.json").write_text(dumps(SHIFTED_POINT_CONFIG))
+        code = main(["qr-check", "--batch", str(tmp_path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 5
+        assert out["results"] == [{"file": "job.json", "exit_code": 5, "agree": False}]
+
+    def test_not_finite_single(self, tmp_path, capsys):
+        code, out = run_json(tmp_path, capsys, "qr-check", NOT_FINITE_POINT_CONFIG)
+        assert code == 4
+        assert out["error"]["type"] == "NotFinite"
+
+    def test_not_finite_batch(self, tmp_path, capsys):
+        (tmp_path / "job.json").write_text(dumps(NOT_FINITE_POINT_CONFIG))
+        code = main(["qr-check", "--batch", str(tmp_path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 4
+        [entry] = out["results"]
+        assert entry["exit_code"] == 4
+        assert entry["error"]["type"] == "NotFinite"
+
+
 class TestMincouplingCommand:
     def test_degree_one_window(self, tmp_path, capsys):
         cfg = {
