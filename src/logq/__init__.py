@@ -45,7 +45,6 @@ from .polyhedra import (
     Cell,
     Halfspace,
     Polyhedron,
-    arrangement_cells,
     arrangement_cells_with_points,
     is_bounded,
     is_empty,

@@ -201,9 +201,6 @@ class LaurentPoly(_IntMap):
     def coeff(self, exponent: int) -> int:
         return self._map.get(exponent, 0)
 
-    def min_exp(self):
-        return min(self._map) if self._map else None
-
     def max_exp(self):
         return max(self._map) if self._map else None
 

@@ -218,30 +218,17 @@ def _certify_finite(d: ToricLogData, o: Sequence[int], rows) -> None:
 def reduced_multiplicity(d: ToricLogData, weight: Iterable[int]) -> int:
     """Signed count of reduced-space points over the given weight.
 
-    This is the signed indicator sum of the pieces, evaluated at one lattice
-    point; it equals the multiplicity of that weight in the lattice-count
-    quantization by construction, and is the point-by-point reference for the
-    ``reduced_points`` column of :func:`qr_check`'s table.
+    This is the sum of the signs of the pieces whose region contains the
+    lattice point (:meth:`Polyhedron.contains`); it equals the multiplicity
+    of that weight in the lattice-count quantization by construction, and is
+    the point-by-point reference for the ``reduced_points`` column of
+    :func:`qr_check`'s table.
     """
     w = as_weight(weight)
     if len(w) != d.rank:
         raise RankMismatch(f"weight {w} does not match rank {d.rank}")
-    return _signed_indicator(d, toricmodel.signs(d), w)
-
-
-def _signed_indicator(d: ToricLogData, o: Sequence[int], p, q: int = 1) -> int:
-    """Sum of the piece signs ``o`` over the pieces that contain the point
-    p / q, given as integer numerators over a positive denominator; each
-    piece's integer rows are checked directly."""
-    total = 0
-    for oj, piece in zip(o, d.pieces):
-        for h in piece.region.halfspaces:
-            a, b = h.row
-            if sum(map(mul, a, p)) < b * q:
-                break
-        else:
-            total += oj
-    return total
+    o = toricmodel.signs(d)
+    return sum(oj for oj, piece in zip(o, d.pieces) if piece.region.contains(w))
 
 
 def _times_factor(p: dict[int, int], w: int) -> dict[int, int]:
@@ -382,9 +369,8 @@ def fixed_terms_delzant(P: Polyhedron) -> list[FixedPointTerm]:
     facets = sorted(set(h.row for h in P.halfspaces))
     out = []
     for v in polyhedra.vertices(P):
-        active = [
-            (a, b) for a, b in facets if sum(x * c for x, c in zip(a, v)) == b
-        ]
+        num, den = polyhedra._integer_point(v)
+        active = [(a, b) for a, b in facets if sum(map(mul, a, num)) == b * den]
         if len(active) != rank:
             raise NotDelzant(f"vertex {v} has {len(active)} active facets, expected {rank}")
         edges = []
@@ -402,10 +388,9 @@ def fixed_terms_delzant(P: Polyhedron) -> list[FixedPointTerm]:
             edges.append(e)
         if abs(polyhedra._det(edges)) != 1:
             raise NotDelzant(f"vertex {v} has non-unimodular edge generators {edges}")
-        if any(c.denominator != 1 for c in v):
+        if den != 1:
             raise NotDelzant(f"vertex {v} is not in the weight lattice")
-        mu = tuple(int(c) for c in v)
-        out.append(FixedPointTerm(1, mu, edges))
+        out.append(FixedPointTerm(1, num, edges))
     out.sort(key=lambda t: t.mu)
     return out
 

@@ -10,12 +10,13 @@ of the restriction of the arrangement to the cell's flat: a flat is an
 integer point over a denominator plus an integer basis, cutting it by a
 hyperplane is one integer elimination, and each region is a region of a
 lower flat pushed off a hyperplane by an integer step too short to cross
-any other.  Boundedness reads the sign vectors of the candidate extreme
-rays of the recession cone, cross products computed once per arrangement.
-The unbounded cells alone, which certify finite support, come from the
-recession arrangement without sweeping the bounded ones: each is a cell of
-the central arrangement of the normals paired with a cell of the
-hyperplanes whose normals vanish on it.  Vertices and the arrangement
+any other.  A polyhedron is unbounded iff some candidate extreme ray of
+its recession cone, the cross product of rank-1 normals up to sign, lies
+on the inner side of every facet.  A cell of an arrangement is unbounded
+iff the recession arrangement lists it, without sweeping the bounded
+cells: each unbounded cell is a cell of the central arrangement of the
+normals paired with a cell of the hyperplanes whose normals vanish on it.
+The same list certifies finite support.  Vertices and the arrangement
 vertex box solve square systems by Cramer's rule, as the cross product of
 the augmented rows, with closed-form determinants up to 3x3; and lattice
 points come from a scanline over a box (the last coordinate's integer
@@ -279,37 +280,6 @@ def _solve(rows, n):
     return tuple(c // g for c in num), den // g
 
 
-def _ray_masks(normals, n):
-    """Sign vectors of the candidate extreme rays of the recession cones cut
-    out by the normals, or None when the normals do not span.
-
-    If the normals do not span, a common-kernel line lies in every such cone.
-    Otherwise each cone {d : sign(a_i . d) in allowed_i} is pointed, and a
-    nonzero one has an extreme ray with n-1 independent active normals: the
-    cross product of n-1 normals, up to sign.  Each candidate ray d is stored
-    as the pair (positive mask, negative mask) of the normals' signs on d;
-    both d and -d are kept.
-    """
-    dirs = sorted({max(a, tuple(-c for c in a)) for a in normals})
-    masks = set()
-    for subset in combinations(dirs, n - 1):
-        d = _cross(subset, n)
-        if not any(d):
-            continue
-        pos = neg = 0
-        for i, a in enumerate(normals):
-            v = sum(map(mul, a, d))
-            if v > 0:
-                pos |= 1 << i
-            elif v < 0:
-                neg |= 1 << i
-        if not (pos or neg):
-            return None  # d is orthogonal to every normal
-        masks.add((pos, neg))
-        masks.add((neg, pos))
-    return masks or None
-
-
 def _check_caps(P: Polyhedron, op: str) -> None:
     if P.rank > RANK_CAP:
         raise SizeLimit(f"{op}: rank {P.rank} exceeds cap {RANK_CAP}")
@@ -334,13 +304,29 @@ def is_empty(P: Polyhedron) -> bool:
 
 
 def is_bounded(P: Polyhedron) -> bool:
-    """True iff the recession cone is the origin (vacuously true when empty)."""
+    """True iff the recession cone {d : a . d >= 0 for every normal a} is the
+    origin (vacuously true when empty).
+
+    If no rank-1 distinct normal directions are independent, the normals do
+    not span and a common-kernel line lies in the cone.  Otherwise the cone
+    is pointed, and if nonzero it has an extreme ray with rank-1 independent
+    active normals: their cross product d, up to sign.  So P is unbounded
+    iff some such d has a . d >= 0 for every normal a, or <= 0 for every one.
+    """
     _check_caps(P, "is_bounded")
     if is_empty(P):
         return True
-    # Unbounded iff some ray d has a . d >= 0 for every normal a.
-    masks = _ray_masks([h.row[0] for h in P.halfspaces], P.rank)
-    return masks is not None and all(neg for _, neg in masks)
+    normals = [h.row[0] for h in P.halfspaces]
+    dirs = sorted({max(a, tuple([-c for c in a])) for a in normals})
+    spans = False
+    for subset in combinations(dirs, P.rank - 1):
+        d = _cross(subset, P.rank)
+        if any(d):
+            dots = [sum(map(mul, a, d)) for a in normals]
+            if min(dots, default=0) >= 0 or max(dots, default=0) <= 0:
+                return False
+            spans = True
+    return spans
 
 
 def vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
@@ -569,42 +555,6 @@ def _spread(mask, bits):
     return out
 
 
-def _enumerate_cells(hps_int, rank):
-    """All feasible sign vectors with a witness interior point and bounded flag,
-    as triples (sign vector, (p, q), bounded).  The witness is the point p / q:
-    integer numerators p over a positive common denominator q, in lowest terms.
-
-    Every cell is a region of the restriction of the arrangement to its flat,
-    the intersection of the hyperplanes that contain it (Zaslavsky).  The
-    flats are swept by recursion from the whole space (:func:`_flat_regions`),
-    each solved once and keyed by the mask of the hyperplanes that contain
-    it.  A flat is an integer point over a denominator plus an integer basis;
-    cutting it by a hyperplane is one integer elimination, and each region is
-    found by pushing a region of a lower flat off a hyperplane, in integers,
-    by a step too short to cross any other hyperplane.  No Fourier-Motzkin
-    call is made.
-
-    A cell is bounded iff its closure's recession cone is the origin.  The
-    candidate extreme rays of every such cone are computed once for the
-    arrangement (:func:`_ray_masks`); a cell is unbounded iff some ray's sign
-    vector agrees with the cell's wherever the ray's is nonzero.
-    """
-    memo = _sweep(hps_int, rank)
-    masks = _ray_masks([a for a, _ in hps_int], rank)
-    full = (1 << len(hps_int)) - 1
-    out = []
-    for zero, regions in memo.items():
-        for pos, (p, q) in regions.items():
-            neg = full & ~(zero | pos)
-            bounded = masks is not None and all(
-                rp & ~pos or rn & ~neg for rp, rn in masks
-            )
-            sv = tuple([(pos >> i & 1) - (neg >> i & 1) for i in range(len(hps_int))])
-            out.append((sv, (p, q), bounded))
-    out.sort(key=lambda t: t[0])
-    return out
-
-
 def _arrangement_int(hyperplanes: Sequence[Halfspace], op: str):
     if not hyperplanes:
         raise ValueError(f"{op}: need at least one hyperplane")
@@ -621,27 +571,32 @@ def _arrangement_int(hyperplanes: Sequence[Halfspace], op: str):
     return [h.row for h in hyperplanes], rank
 
 
-def arrangement_cells(hyperplanes: Sequence[Halfspace]) -> list[Cell]:
-    """Feasible cells of the arrangement of the given hyperplane boundaries.
-
-    Each Halfspace contributes the hyperplane <normal, x> = offset.  The
-    result covers every sign vector in {-1, 0, +1}^H that cuts out a nonempty
-    relatively open region, with an exact boundedness flag, ordered by sign
-    vector.
-    """
-    return [cell for cell, _ in arrangement_cells_with_points(hyperplanes)]
-
-
 def arrangement_cells_with_points(
     hyperplanes: Sequence[Halfspace],
 ) -> list[tuple[Cell, tuple[tuple[int, ...], int]]]:
-    """Like :func:`arrangement_cells` but pairs each cell with an interior
-    point of its relatively open region, as ``(numerators, den)``: integer
-    numerators over a positive common denominator, in lowest terms."""
+    """Every cell of the arrangement of the given hyperplane boundaries, in
+    sign-vector order, paired with an interior point of its relatively open
+    region as ``(numerators, den)``: integer numerators over a positive
+    common denominator, in lowest terms.
+
+    Each Halfspace contributes the hyperplane <normal, x> = offset, and the
+    cells are every sign vector in {-1, 0, +1}^H that cuts out a nonempty
+    region.  They are swept by restriction to flats (:func:`_flat_regions`),
+    with no Fourier-Motzkin call.  A cell is bounded iff its (zero mask,
+    positive mask) pair is not one of the recession arrangement's unbounded
+    cells (:func:`_unbounded_cells`).
+    """
     hps_int, rank = _arrangement_int(hyperplanes, "arrangement_cells")
-    return [
-        (Cell(sv, bounded), pt) for sv, pt, bounded in _enumerate_cells(hps_int, rank)
-    ]
+    unbounded = _unbounded_cells(hps_int, rank)
+    full = (1 << len(hps_int)) - 1
+    out = []
+    for zero, regions in _sweep(hps_int, rank).items():
+        for pos, pt in regions.items():
+            neg = full & ~(zero | pos)
+            sv = tuple([(pos >> i & 1) - (neg >> i & 1) for i in range(len(hps_int))])
+            out.append((Cell(sv, (zero, pos) not in unbounded), pt))
+    out.sort(key=lambda t: t[0].sign_vector)
+    return out
 
 
 def arrangement_vertex_box(hyperplanes: Sequence[Halfspace]):

@@ -15,7 +15,6 @@ from logq import (
     Halfspace,
     Polyhedron,
     SizeLimit,
-    arrangement_cells,
     arrangement_cells_with_points,
     is_bounded,
     is_empty,
@@ -90,6 +89,19 @@ class TestIsBounded:
 
     def test_triangle(self):
         assert is_bounded(TRIANGLE)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_no_halfspaces(self, rank):
+        assert not is_bounded(Polyhedron(rank))
+
+    def test_parallel_normals_in_rank_three(self):
+        slab = [Halfspace((1, 2, -1), 0), Halfspace((-2, -4, 2), -3), Halfspace((1, 2, -1), 1)]
+        assert not is_bounded(Polyhedron(3, slab))
+
+    def test_normals_spanning_a_plane_in_rank_three(self):
+        # A bounded triangle in the xy-plane, extruded along the z-axis.
+        prism = [Halfspace((1, 0, 0), 0), Halfspace((0, 1, 0), 0), Halfspace((-1, -1, 0), -2)]
+        assert not is_bounded(Polyhedron(3, prism))
 
 
 class TestVertices:
@@ -283,17 +295,22 @@ def _witness_point(witness):
     return tuple(Fraction(c, q) for c in p)
 
 
+def cells(hps):
+    """The cells of the arrangement, without their witnesses."""
+    return [cell for cell, _ in arrangement_cells_with_points(hps)]
+
+
 class TestArrangementCells:
     def test_single_hyperplane(self):
-        cells = arrangement_cells([Halfspace((1,), 0)])
-        assert [c.sign_vector for c in cells] == [(-1,), (0,), (1,)]
-        assert [c.bounded for c in cells] == [False, True, False]
+        found = cells([Halfspace((1,), 0)])
+        assert [c.sign_vector for c in found] == [(-1,), (0,), (1,)]
+        assert [c.bounded for c in found] == [False, True, False]
 
     def test_two_points_on_line(self):
-        cells = arrangement_cells([Halfspace((1,), 0), Halfspace((1,), 3)])
-        assert len(cells) == 5
-        assert sum(1 for c in cells if not c.bounded) == 2
-        assert [c.sign_vector for c in cells] == [
+        found = cells([Halfspace((1,), 0), Halfspace((1,), 3)])
+        assert len(found) == 5
+        assert sum(1 for c in found if not c.bounded) == 2
+        assert [c.sign_vector for c in found] == [
             (-1, -1),
             (0, -1),
             (1, -1),
@@ -302,14 +319,14 @@ class TestArrangementCells:
         ]
 
     def test_duplicate_hyperplane_contradictions_omitted(self):
-        cells = arrangement_cells([Halfspace((1,), 0), Halfspace((1,), 0)])
-        assert [c.sign_vector for c in cells] == [(-1, -1), (0, 0), (1, 1)]
+        found = cells([Halfspace((1,), 0), Halfspace((1,), 0)])
+        assert [c.sign_vector for c in found] == [(-1, -1), (0, 0), (1, 1)]
 
     def test_plane_arrangement_counts(self):
         # two crossing lines: 4 open quadrants, 4 open half-lines, 1 point
-        cells = arrangement_cells([Halfspace((1, 0), 0), Halfspace((0, 1), 0)])
-        assert len(cells) == 9
-        assert sum(1 for c in cells if c.bounded) == 1
+        found = cells([Halfspace((1, 0), 0), Halfspace((0, 1), 0)])
+        assert len(found) == 9
+        assert sum(1 for c in found if c.bounded) == 1
 
     def test_witness_points_realize_signs(self):
         hps = [Halfspace((1, 0), 0), Halfspace((0, 1), 1), Halfspace((1, 1), 2)]
@@ -326,10 +343,10 @@ class TestArrangementCells:
 
     def test_hyperplane_cap(self):
         with pytest.raises(SizeLimit):
-            arrangement_cells([Halfspace((1,), k) for k in range(13)])
+            cells([Halfspace((1,), k) for k in range(13)])
 
     def test_cell_type(self):
-        (c, *_), = [arrangement_cells([Halfspace((1,), 0)])[:1]]
+        (c, *_), = [cells([Halfspace((1,), 0)])[:1]]
         assert isinstance(c, Cell)
 
 
@@ -560,8 +577,8 @@ class TestSweepOracles:
     @settings(max_examples=200, deadline=None)
     @given(_arrangement(max_size=8))
     def test_region_counts_match_zaslavsky(self, hps):
-        cells = arrangement_cells(hps)
-        regions = [c for c in cells if 0 not in c.sign_vector]
+        found = cells(hps)
+        regions = [c for c in found if 0 not in c.sign_vector]
         chi = _characteristic_polynomial(hps)
         assert len(regions) == abs(sum(m * (-1) ** d for d, m in chi.items()))
         rank = len(hps[0].normal)
@@ -574,7 +591,7 @@ class TestSweepOracles:
     @settings(max_examples=100, deadline=None)
     @given(_arrangement(max_size=6))
     def test_sign_vectors_match_brute_force(self, hps):
-        got = [c.sign_vector for c in arrangement_cells(hps)]
+        got = [c.sign_vector for c in cells(hps)]
         assert got == sorted(got)
         assert set(got) == _brute_force_sign_vectors(hps)
 
@@ -609,17 +626,17 @@ class TestSweepOracles:
 
     def test_normals_in_a_plane_leave_every_cell_unbounded(self):
         hps = [Halfspace((1, 0, 0), 0), Halfspace((0, 1, 0), 0), Halfspace((1, 1, 0), 1)]
-        cells = arrangement_cells(hps)
-        assert len(cells) == len(_brute_force_sign_vectors(hps)) == 19
-        assert not any(c.bounded for c in cells)
+        found = cells(hps)
+        assert len(found) == len(_brute_force_sign_vectors(hps)) == 19
+        assert not any(c.bounded for c in found)
 
     def test_triangle_arrangement(self):
         hps = list(TRIANGLE.halfspaces)
-        cells = arrangement_cells(hps)
+        found = cells(hps)
         # 7 regions, 9 edges, 3 vertices; bounded: the triangle, its edges and vertices
-        assert len(cells) == 19
-        assert sum(c.bounded for c in cells) == 7
-        assert ((1, 1, 1), True) in [(c.sign_vector, c.bounded) for c in cells]
+        assert len(found) == 19
+        assert sum(c.bounded for c in found) == 7
+        assert ((1, 1, 1), True) in [(c.sign_vector, c.bounded) for c in found]
 
     @settings(max_examples=200, deadline=None)
     @given(_arrangement(max_size=8))
@@ -684,24 +701,47 @@ class TestTwelvePlanes:
     def test_cells_match_zaslavsky_in_time(self, planes, count):
         hps = planes()
         start = time.perf_counter()
-        cells = arrangement_cells(hps)
+        found = cells(hps)
         elapsed = time.perf_counter() - start
-        assert len(cells) == count
-        regions = [c for c in cells if 0 not in c.sign_vector]
+        assert len(found) == count
+        regions = [c for c in found if 0 not in c.sign_vector]
         chi = _characteristic_polynomial(hps)
         assert len(regions) == abs(sum(m * (-1) ** d for d, m in chi.items()))
         assert sum(c.bounded for c in regions) == abs(sum(chi.values()))
         assert elapsed < 5.0
 
 
+def _masks(sign_vector):
+    """A sign vector as (zero mask, positive mask)."""
+    zero = sum(1 << i for i, c in enumerate(sign_vector) if c == 0)
+    return zero, sum(1 << i for i, c in enumerate(sign_vector) if c > 0)
+
+
 def _unbounded_masks(hps):
-    """The unbounded cells of the full sweep, as (zero mask, positive mask)."""
-    rows = [h.row for h in hps]
+    """The unbounded cells, as (zero mask, positive mask), decided by FM.
+
+    A cell is unbounded iff the recession cone of its closure,
+    {d : s_i (a_i . d) >= 0, and a_i . d = 0 where s_i = 0}, is not the
+    origin, that is iff it holds a d with d_j = +-1 for some coordinate j.
+    Each (j, +-1) is one FM call with d_j substituted.  The sign vectors
+    come from the sweep, which the brute-force oracle checks on its own.
+    """
+    rank = len(hps[0].normal)
     out = set()
-    for sv, _, bounded in polyhedra._enumerate_cells(rows, len(hps[0].normal)):
-        if not bounded:
-            zero = sum(1 << i for i, c in enumerate(sv) if c == 0)
-            out.add((zero, sum(1 << i for i, c in enumerate(sv) if c > 0)))
+    for cell in cells(hps):
+        cone = [
+            tuple(t * c for c in h.row[0])
+            for h, s in zip(hps, cell.sign_vector)
+            for t in ((s,) if s else (1, -1))
+        ]
+        if any(
+            polyhedra._fm_feasible(
+                [(a[:j] + a[j + 1:], -u * a[j], polyhedra._GE) for a in cone], rank - 1
+            )
+            for j in range(rank)
+            for u in (1, -1)
+        ):
+            out.add(_masks(cell.sign_vector))
     return out
 
 
@@ -710,12 +750,15 @@ def _recession_masks(hps):
 
 
 class TestUnboundedCells:
-    """The recession route lists exactly the unbounded cells of the sweep."""
+    """The recession route lists exactly the unbounded cells, and the sweep
+    flags exactly those, by an FM reference on each cell's recession cone."""
 
     @settings(max_examples=300, deadline=None)
     @given(_arrangement(max_size=8))
     def test_matches_sweep(self, hps):
-        assert _recession_masks(hps) == _unbounded_masks(hps)
+        expected = _unbounded_masks(hps)
+        assert _recession_masks(hps) == expected
+        assert {_masks(c.sign_vector) for c in cells(hps) if not c.bounded} == expected
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_single_hyperplane(self, rank):
@@ -731,14 +774,16 @@ class TestUnboundedCells:
     def test_normals_that_do_not_span(self):
         # Every cell contains a line along the third axis.
         hps = [Halfspace((1, 0, 0), 0), Halfspace((0, 1, 0), 1), Halfspace((1, 1, 0), 3)]
-        cells = _unbounded_masks(hps)
-        assert len(cells) == len(arrangement_cells(hps))
-        assert _recession_masks(hps) == cells
+        found = _unbounded_masks(hps)
+        assert len(found) == len(cells(hps))
+        assert _recession_masks(hps) == found
 
     @pytest.mark.parametrize("planes", [_axis_planes, _cube_and_diagonals, _random_planes])
     def test_twelve_planes(self, planes):
         hps = planes()
-        assert _recession_masks(hps) == _unbounded_masks(hps)
+        expected = _unbounded_masks(hps)
+        assert _recession_masks(hps) == expected
+        assert {_masks(c.sign_vector) for c in cells(hps) if not c.bounded} == expected
 
 
 class TestDet:
