@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -19,7 +19,7 @@ from . import indexcalc, polyhedra, toricmodel
 from .charring import Character
 from .errors import InfiniteSupport, LogqError, MalformedConfig, NotFinite, RankMismatch
 from .indexcalc import FixedPointTerm
-from .jsonio import _int_text, decode_int, dumps
+from .jsonio import _Record, _int_text, decode_int, dumps
 from .polyhedra import Polyhedron
 from .toricmodel import ToricLogData
 
@@ -33,8 +33,7 @@ KINDS = ("toric", "s2_family", "delzant", "mincoupling")
 TORIC_KINDS = ("toric", "s2_family", "delzant")
 
 
-@dataclass
-class JobConfig:
+class JobConfig(_Record):
     """A decoded job: kind, decoded payload, optional fixed-point terms.
 
     ``payload`` is a ToricLogData for "toric", a Polyhedron for "delzant",
@@ -44,8 +43,8 @@ class JobConfig:
 
     kind: str
     payload: ToricLogData | Polyhedron | tuple[int, int] | tuple[int, Character]
-    fixed_terms: list[FixedPointTerm] | None = None
-    options: dict = field(default_factory=dict)
+    fixed_terms: list[FixedPointTerm] | None
+    options: dict
 
 
 def _exit_code_for(exc: LogqError) -> int:
@@ -259,21 +258,24 @@ def _read_config(path: Path | None) -> JobConfig:
     return load_config(text)
 
 
+def _out(text: str) -> None:
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # ``logq ... | head``: no traceback, the job's own exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(args, config_options: dict, payload: dict, lines: list[str]) -> None:
     if args.quiet:
         return
     fmt = args.format or config_options.get("output_format") or "json"
     if fmt not in ("json", "table", "both"):
         raise MalformedConfig(f"bad output format {fmt!r}")
-    if fmt in ("table", "both"):
-        for line in lines:
-            print(line)
-    if fmt == "both":
-        print("```json")
-        print(dumps(payload))
-        print("```")
-    elif fmt == "json":
-        print(dumps(payload))
+    if fmt == "json":
+        lines = [dumps(payload)]
+    elif fmt == "both":
+        lines = [*lines, "```json", dumps(payload), "```"]
+    _out("\n".join(lines))
 
 
 def _run_batch(args) -> int:
@@ -296,7 +298,7 @@ def _run_batch(args) -> int:
         results.append(entry)
         worst = max(worst, code)
     if not args.quiet:
-        print(dumps({"results": results, "overall_exit": worst}))
+        _out(dumps({"results": results, "overall_exit": worst}))
     return worst
 
 
@@ -316,7 +318,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except LogqError as exc:
         code = _exit_code_for(exc)
         if not args.quiet:
-            print(dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
+            _out(dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         print(f"logq: {exc}", file=sys.stderr)
         return code
 

@@ -13,7 +13,6 @@ is the executable content of quantization commuting with reduction.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -27,13 +26,12 @@ from .errors import (
     SizeLimit,
     Unbounded,
 )
-from .jsonio import decode_int, decode_list, encode_int
+from .jsonio import _Record, decode_int, decode_list, encode_int
 from .polyhedra import Halfspace, Polyhedron
 from .toricmodel import ToricLogData
 
 
-@dataclass(frozen=True)
-class FixedPointTerm:
+class FixedPointTerm(_Record):
     """One fixed-point contribution sign * t^mu / prod_i (1 - t^(w_i)).
 
     ``mu`` is the moment value of the fixed point and ``weights`` are the
@@ -81,8 +79,7 @@ class FixedPointTerm:
         )
 
 
-@dataclass(frozen=True)
-class QRReport:
+class QRReport(_Record):
     """Outcome of the two-route comparison.
 
     ``per_weight_table`` rows are (weight, lattice multiplicity, fixed-point
@@ -170,11 +167,17 @@ def quantize_lattice(d: ToricLogData, *, box_cap: int = polyhedra.BOX_VOLUME_CAP
     box = polyhedra.arrangement_vertex_box(hyperplanes)
     if box is None:
         return Character(rank, {})
-    terms: Counter = Counter()
+    if len(d.pieces) == 1:
+        points = polyhedra.lattice_points(d.pieces[0].region, box, volume_cap=box_cap)
+        return Character._trusted(dict.fromkeys(points, o[0]), rank)
+    # + and - pieces apart (Counter's "-" drops negative counts), merged once.
+    plus, minus = Counter(), Counter()
     for oj, piece in zip(o, d.pieces):
-        for pt in polyhedra.lattice_points(piece.region, box, volume_cap=box_cap):
-            terms[pt] += oj
-    return Character._trusted({w: m for w, m in terms.items() if m}, rank)
+        points = polyhedra.lattice_points(piece.region, box, volume_cap=box_cap)
+        (plus if oj > 0 else minus).update(points)
+    terms = {w: c for w, m in plus.items() if (c := m - minus.get(w, 0))}
+    terms.update((w, -m) for w, m in minus.items() if w not in plus)
+    return Character._trusted(terms, rank)
 
 
 def _certify_finite(d: ToricLogData, o: Sequence[int], rows) -> None:

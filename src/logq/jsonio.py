@@ -73,3 +73,39 @@ def decode_fraction(obj) -> Fraction:
 def dumps(payload) -> str:
     """Serialize with a fixed layout so output is byte-stable across runs."""
     return json.dumps(payload, indent=2)
+
+
+class _Record:
+    """Immutable record, as ``dataclass(frozen=True)`` without importing
+    ``dataclasses`` and ``inspect``.  The fields are the names annotated in
+    the class body, in order (or the parent's); a class attribute is a default.
+    A class with no ``__init__`` gets one taking the fields by position or name."""
+
+    def __init_subclass__(cls):
+        cls._fields = names = tuple(cls.__dict__.get("__annotations__", ())) or cls._fields
+        if cls.__init__ is object.__init__:
+            params = "".join(f", {n}=_d[{n!r}]" if n in cls.__dict__ else f", {n}" for n in names)
+            body = "".join(f"\n _set(self, {n!r}, {n})" for n in names)
+            ns = {"_d": cls.__dict__, "_set": object.__setattr__}
+            exec(f"def __init__(self{params}):{body}", ns)
+            ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = ns["__init__"]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+    __delattr__ = __setattr__

@@ -26,7 +26,6 @@ truncating.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -34,7 +33,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import SizeLimit
-from .jsonio import _int_text, decode_fraction, decode_int, decode_list, encode_fraction
+from .jsonio import _Record, _int_text, decode_fraction, decode_int, decode_list, encode_fraction
 
 RANK_CAP = 3
 HALFSPACE_CAP = 16
@@ -60,8 +59,7 @@ def _integer_point(point):
     return tuple(c.numerator * (q // c.denominator) for c in point), q
 
 
-@dataclass(frozen=True)
-class Halfspace:
+class Halfspace(_Record):
     """The closed halfspace {x : <normal, x> >= offset}.
 
     ``row`` is the same halfspace as coprime integers ``(a, b)`` with
@@ -94,8 +92,7 @@ class Halfspace:
         return cls(normal, decode_fraction(obj["offset"]))
 
 
-@dataclass(frozen=True)
-class Polyhedron:
+class Polyhedron(_Record):
     """Intersection of finitely many closed halfspaces; may be empty or unbounded."""
 
     rank: int
@@ -145,8 +142,7 @@ class Polyhedron:
         )
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(_Record):
     """A relatively open cell of a hyperplane arrangement.
 
     ``sign_vector[i]`` records the position relative to hyperplane i:

@@ -12,18 +12,16 @@ map), and no piece is empty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import polyhedra
 from .errors import EmptyPiece, NotProper, ParityInconsistent, SizeLimit, Unbounded
-from .jsonio import decode_fraction, decode_int, decode_list, encode_fraction
+from .jsonio import _Record, decode_fraction, decode_int, decode_list, encode_fraction
 from .polyhedra import Halfspace, Polyhedron, _frac
 
 
-@dataclass(frozen=True)
-class DivisorWall:
+class DivisorWall(_Record):
     """A divisor hypersurface between two chart components.
 
     ``residue`` is the residue of the tropical 1-form at the wall; the modular
@@ -49,16 +47,14 @@ class DivisorWall:
         return tuple(-c for c in self.residue)
 
 
-@dataclass(frozen=True)
-class PolytopePiece:
+class PolytopePiece(_Record):
     """One polyhedral piece of the momentum image, tagged by its component."""
 
     component: str
     region: Polyhedron
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(_Record):
     """A set of walls whose hypersurfaces mutually intersect."""
 
     walls: frozenset[str]
@@ -70,8 +66,7 @@ class Stratum:
         object.__setattr__(self, "walls", ws)
 
 
-@dataclass(frozen=True)
-class ToricLogData:
+class ToricLogData(_Record):
     """Tropical-welded toric input, reduced to combinatorics.
 
     ``global_sign`` flips the overall orientation: it multiplies every
@@ -145,7 +140,7 @@ class ToricLogData:
 
     def flipped(self) -> "ToricLogData":
         """The same data with the opposite overall orientation."""
-        return replace(self, global_sign=-self.global_sign)
+        return type(self)(*self._values()[:-1], -self.global_sign)
 
     def to_jsonable(self) -> dict:
         return {
@@ -191,8 +186,7 @@ class ToricLogData:
         )
 
 
-@dataclass(frozen=True)
-class S2FamilyParams:
+class S2FamilyParams(_Record):
     """Geometric parameters of the rank-1 two-piece sphere family.
 
     The only floating-point numbers in the package live here: ``a`` is the
@@ -207,15 +201,13 @@ class S2FamilyParams:
     a_prime: float
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     """One result per check; ``bad_stratum`` is the first stratum that failed
     the properness check, carried into :class:`NotProper`."""
 

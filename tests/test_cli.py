@@ -1,9 +1,12 @@
 """CLI contract tests: exit codes, output formats, determinism, batch mode."""
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -22,6 +25,8 @@ from logq import (
 from logq.cli import COMMANDS, main
 from logq.jsonio import dumps
 from logq.polyhedra import Polyhedron
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 S2_CONFIG = {"kind": "s2_family", "payload": {"n1": 0, "n2": 3}}
 
@@ -480,13 +485,16 @@ def _two_sided(rank, outer, inner):
 
 def _dilated(d, q):
     """The data with every piece scaled by q: p lies in q P iff p / q lies in P."""
-    return replace(d, pieces=tuple(
+    pieces = tuple(
         PolytopePiece(
             p.component,
             Polyhedron(d.rank, [Halfspace(h.normal, h.offset * q) for h in p.region.halfspaces]),
         )
         for p in d.pieces
-    ))
+    )
+    return ToricLogData(
+        d.rank, d.components, d.walls, pieces, d.strata, d.base_component, d.global_sign
+    )
 
 
 def _swept_message(d):
@@ -822,6 +830,28 @@ class TestOutputContract:
         assert run(tmp_path, "quantize", S2_CONFIG) == 0
         with pytest.raises(SystemExit):
             main(["quantize", "--format", "xml"])
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_closed_stdout_keeps_exit_code(self, tmp_path, batch):
+        """``logq ... | head``: the reader closes stdout before logq writes.
+        No traceback, and the job's own exit code (5, disagreement)."""
+        cfg = {**S2_CONFIG, "fixed_terms": [{"sign": 1, "mu": [0], "weights": []}]}
+        (tmp_path / "job.json").write_text(dumps(cfg))
+        where = ["--batch", str(tmp_path)] if batch else ["--config", str(tmp_path / "job.json")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+        ))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "logq.cli", "qr-check", *where],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 5
+        assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr, proc.stderr
 
     def test_format_from_config_options(self, tmp_path, capsys):
         cfg = {**S2_CONFIG, "options": {"output_format": "table"}}

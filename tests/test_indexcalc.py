@@ -141,6 +141,34 @@ class TestQuantizeLattice:
     def test_single_point_piece(self):
         assert quantize_lattice(delzant(interval(2, 2))) == rank1({2: 1})
 
+    def test_overlapping_signed_pieces(self):
+        # Two + pieces on A and two - pieces on B, overlapping within each
+        # sign and across the signs.
+        d = ToricLogData(
+            rank=2,
+            components=("A", "B"),
+            walls=(DivisorWall("w", (1, 0), ("A", "B")),),
+            pieces=(
+                PolytopePiece("A", rect(0, 3, 0, 1)),
+                PolytopePiece("A", rect(2, 4, 0, 0)),
+                PolytopePiece("B", rect(1, 5, 0, 0)),
+                PolytopePiece("B", rect(4, 6, 0, 1)),
+            ),
+            base_component="A",
+        )
+        for data in (d, d.flipped()):
+            o = toricmodel.signs(data)
+            per_point = {
+                w: sum(oj for oj, p in zip(o, data.pieces) if p.region.contains(w))
+                for w in product(range(-1, 8), range(-1, 3))
+            }
+            assert quantize_lattice(data) == Character(2, per_point)
+            if data is d:
+                assert per_point[(1, 0)] == 0  # + and - cancel exactly
+                assert per_point[(2, 0)] == 1  # + + -
+                assert per_point[(5, 0)] == -2  # only - pieces, overlapping
+                assert per_point[(6, 1)] == -1  # only a - piece
+
 
 def two_sided(outer, inner):
     """Pieces ``outer`` (sign +) and ``inner`` (sign -) on the two sides of a wall."""
