@@ -261,8 +261,12 @@ def _read_config(path: Path | None) -> JobConfig:
 def _out(text: str) -> None:
     try:
         print(text, flush=True)
-    except BrokenPipeError:  # ``logq ... | head``: no traceback, the job's own exit code
+    except OSError as exc:
+        # Later writes and the flush at exit go to devnull, so no second error.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # ``logq ... | head``: the job's own code
+            print(f"logq: cannot write output: {exc}", file=sys.stderr)
+            sys.exit(1)
 
 
 def _emit(args, config_options: dict, payload: dict, lines: list[str]) -> None:

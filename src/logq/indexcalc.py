@@ -5,15 +5,17 @@ signs; when some piece is unbounded it first certifies that the signed
 indicator vanishes on every unbounded arrangement cell (so the result is an
 honest finite character).  Route two sums the Atiyah-Bott fixed-point
 terms ``sign * t^mu / prod(1 - t^w)`` (:class:`FixedPointTerm`, the one
-term type of the package) over a common denominator and reduces the sum
-to a Laurent polynomial by exact division (:func:`rational_to_laurent`).
+term type of the package) over a common denominator D with numerator N.
 ``qr_check`` runs both and reports their agreement weight by weight, which
-is the executable content of quantization commuting with reduction.
+is the executable content of quantization commuting with reduction.  It
+decides agreement with the lattice character L exactly, by L * D = N, and
+reduces the sum by division (:func:`rational_to_laurent`) only when it fails.
 """
 from __future__ import annotations
 
 from collections import Counter
-from operator import mul
+from heapq import heapify, heappop, heappush
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from . import polyhedra, toricmodel
@@ -234,33 +236,70 @@ def reduced_multiplicity(d: ToricLogData, weight: Iterable[int]) -> int:
     return sum(oj for oj, piece in zip(o, d.pieces) if piece.region.contains(w))
 
 
-def _times_factor(p: dict[int, int], w: int) -> dict[int, int]:
-    """The product p * (1 - t^w) of an exponent -> coefficient map."""
+def _times_factor(p: dict[Weight, int], w: Weight) -> dict[Weight, int]:
+    """The product p * (1 - t^w) of a weight -> coefficient map, with the
+    coefficients it cancels to 0 dropped."""
     out = dict(p)
     for e, c in p.items():
-        out[e + w] = out.get(e + w, 0) - c
+        k = tuple(map(add, e, w))
+        v = out.get(k, 0) - c
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
     return out
+
+
+def _over_common_denominator(terms: Iterable[FixedPointTerm]) -> tuple[dict[Weight, int], Counter]:
+    """The fixed-point sum as N / prod(1 - t^w), w over the returned multiset
+    (the multiset maximum of the terms' weights), with N's zeros dropped.
+    Each weight is first turned to have its first nonzero coordinate
+    positive, by 1/(1 - t^w) = -t^(-w) / (1 - t^(-w))."""
+    groups: dict[tuple[Weight, ...], dict[Weight, int]] = {}
+    for t in terms:
+        sign, mu, weights = t.sign, t.mu, []
+        for w in t.weights:
+            if next(filter(None, w)) < 0:
+                sign, mu, w = -sign, tuple(map(sub, mu, w)), tuple([-c for c in w])
+            weights.append(w)
+        part = groups.setdefault(tuple(sorted(weights)), {})
+        part[mu] = part.get(mu, 0) + sign
+    common: Counter = Counter()
+    for ws in groups:
+        common |= Counter(ws)
+    numerator: dict[Weight, int] = {}
+    for ws, part in groups.items():
+        for w in (common - Counter(ws)).elements():
+            part = _times_factor(part, w)
+        for e, c in part.items():
+            numerator[e] = numerator.get(e, 0) + c
+    return {e: c for e, c in numerator.items() if c}, common
 
 
 def _exact_div(num: dict[int, int], den: dict[int, int], max_terms: int):
     """Exact quotient num/den in Z[t, 1/t], or None when it does not exist.
 
     Both are exponent -> nonzero coefficient maps.  Peels from the lowest
-    exponent.  Any exact quotient q satisfies max(q) = max(num) - max(den),
-    which bounds the loop; that span can be astronomically wide, so a
-    quotient of more than ``max_terms`` nonzero terms raises
-    :class:`SizeLimit`.
+    exponent, which a heap of the remainder's exponents yields (an exponent
+    that has left the remainder is skipped when popped).  Any exact quotient
+    q satisfies max(q) = max(num) - max(den), which bounds the loop; that
+    span can be astronomically wide, so a quotient of more than
+    ``max_terms`` nonzero terms raises :class:`SizeLimit`.
     """
     if not num:
         return LaurentPoly()
     work = dict(num)
+    heap = list(work)
+    heapify(heap)
     d_min = min(den)
     d_lead = den[d_min]
     top = max(num) - max(den)
     den_terms = tuple(den.items())
     quotient: dict[int, int] = {}
     while work:
-        n_min = min(work)
+        n_min = heappop(heap)
+        if n_min not in work:
+            continue
         e = n_min - d_min
         if e > top:
             return None
@@ -274,6 +313,8 @@ def _exact_div(num: dict[int, int], den: dict[int, int], max_terms: int):
             k = e + de
             v = work.get(k, 0) - c * dc
             if v:
+                if k not in work:
+                    heappush(heap, k)
                 work[k] = v
             elif k in work:
                 del work[k]
@@ -286,40 +327,41 @@ def rational_to_laurent(
 ) -> LaurentPoly:
     """Reduce a sum of rank-1 fixed-point terms to a finite Laurent polynomial.
 
-    All terms are put over a common denominator (multiset maximum of the
-    factors ``1 - t^w``) and the quotient is computed by exact integer
-    division.  Terms with the same weights are summed first, and the
-    numerator is accumulated in one dict.  Raises :class:`NotFinite` when
-    a nonzero remainder shows the formal sum is not a finite character,
-    and :class:`SizeLimit` when the quotient has more than ``max_terms``
-    terms.
+    All terms are put over a common denominator
+    (:func:`_over_common_denominator`) and the quotient is computed by exact
+    integer division.  Raises :class:`NotFinite` when a nonzero remainder
+    shows the formal sum is not a finite character, and :class:`SizeLimit`
+    when the quotient has more than ``max_terms`` terms.
     """
-    groups: dict[tuple[int, ...], dict[int, int]] = {}
-    for t in terms:
-        if t.rank != 1:
-            raise RankMismatch("rational_to_laurent takes rank-1 fixed-point terms")
-        part = groups.setdefault(tuple(sorted(w for (w,) in t.weights)), {})
-        part[t.mu[0]] = part.get(t.mu[0], 0) + t.sign
-    common: Counter = Counter()
-    for ws in groups:
-        common |= Counter(ws)
-    numerator: dict[int, int] = {}
-    for ws, part in groups.items():
-        for w in (common - Counter(ws)).elements():
-            part = _times_factor(part, w)
-        for e, c in part.items():
-            numerator[e] = numerator.get(e, 0) + c
-    denominator = {0: 1}
+    if any(t.rank != 1 for t in terms):
+        raise RankMismatch("rational_to_laurent takes rank-1 fixed-point terms")
+    numerator, common = _over_common_denominator(terms)
+    denominator = {(0,): 1}
     for w in common.elements():
         denominator = _times_factor(denominator, w)
     quotient = _exact_div(
-        {e: c for e, c in numerator.items() if c},
-        {e: c for e, c in denominator.items() if c},
+        {e: c for (e,), c in numerator.items()},
+        {e: c for (e,), c in denominator.items()},
         max_terms,
     )
     if quotient is None:
         raise NotFinite("rational character sum does not reduce to a finite character")
     return quotient
+
+
+def _agrees_by_product(lattice_char: Character, terms: Sequence[FixedPointTerm], cap: int) -> bool:
+    """Whether the fixed-point sum N / D equals ``lattice_char`` (L), decided
+    exactly as L * D = N in Z[t^+-1], which has no zero divisors.  False
+    also when N or a partial product of L has more than ``cap`` terms."""
+    numerator, common = _over_common_denominator(terms)
+    if len(numerator) > cap:
+        return False
+    product = lattice_char.terms
+    for w in common.elements():
+        product = _times_factor(product, w)
+        if len(product) > cap:
+            return False
+    return product == numerator
 
 
 def atiyah_bott(
@@ -472,20 +514,25 @@ def qr_check(
 ) -> QRReport:
     """Compare the lattice-count and fixed-point quantizations.
 
-    Rank 1 compares the characters directly.  Higher rank compares the two
-    sides after restricting to a deterministic generic one-parameter subgroup
-    that is injective on the comparison domain; on agreement the fixed-point
-    character is the lattice character, otherwise it records the
-    coefficients attributed back through the specialization.  Disagreement is
-    reported, not raised.  ``box_cap`` caps both the lattice box volume and
-    the number of terms of the fixed-point quotient (:class:`SizeLimit`).
+    Agreement is decided first, exactly and at every rank, by the product
+    test of :func:`_agrees_by_product`; the fixed-point character is then the
+    lattice character.  When the test fails, rank 1 divides the sum out
+    (:func:`atiyah_bott`) and compares; higher rank compares both sides
+    restricted to a deterministic generic one-parameter subgroup, injective
+    on the comparison domain, and on a mismatch records the coefficients
+    attributed back through it (a match there is reported as agreement even
+    where the characters differ).  Disagreement is reported, not raised.
+    ``box_cap`` caps both the lattice box volume and the number of terms of
+    the fixed-point quotient (:class:`SizeLimit`).
     """
     lattice_char = quantize_lattice(d, box_cap=box_cap)
     rank = d.rank
     terms = list(terms)
     if any(t.rank != rank for t in terms):
         raise RankMismatch("fixed-point terms do not match the rank of the toric data")
-    if rank == 1:
+    if _agrees_by_product(lattice_char, terms, box_cap):
+        fp_char, agree = lattice_char, True
+    elif rank == 1:
         fp_char = atiyah_bott(terms, box_cap=box_cap)
         agree = fp_char == lattice_char
     else:
@@ -508,11 +555,8 @@ def qr_check(
                 w: fp_poly.coeff(sum(a * b for a, b in zip(w, xi))) for w in domain
             }
             fp_char = Character(rank, attributed)
-    if rank == 1 or not agree:
-        # On agreement at rank >= 2 the table spans the same shell as xi's domain.
-        support = set(lattice_char.support()) | set(fp_char.support())
-        domain = sorted(_shell(support, rank))
     lat, fp = lattice_char.terms, fp_char.terms
+    domain = sorted(_shell(lat.keys() | fp.keys(), rank))
     table = tuple((w, lat.get(w, 0), fp.get(w, 0), lat.get(w, 0)) for w in domain)
     return QRReport(
         lattice_char=lattice_char,

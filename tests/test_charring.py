@@ -19,7 +19,9 @@ from logq import (
     NotFinite,
     NotSU2Character,
     RankMismatch,
+    SizeLimit,
     SU2Char,
+    indexcalc,
     rational_to_laurent,
     su2_decompose,
     weyl_char,
@@ -170,6 +172,21 @@ class TestRationalToLaurent:
         elapsed = time.perf_counter() - start
         assert got == interval_poly(intervals)
         assert elapsed < 5.0, f"{elapsed:.2f} s"
+
+
+    def test_exact_div_peels_in_exponent_order(self):
+        # sum (-1)^i t^i over 1 - t, i < 20 000: each peel also cancels the
+        # next exponent, whose heap entry is then skipped.  Taking the least
+        # remaining exponent by a scan of the remainder took 1.9-2.2 s on a 2-vCPU
+        # x86-64 host, against 0.013 s with the heap.
+        num = {i: (-1) ** i for i in range(20_000)}
+        den = {0: 1, 1: -1}
+        want = LaurentPoly({2 * j: 1 for j in range(10_000)})
+        assert indexcalc._exact_div(num, den, 10_000) == want
+        with pytest.raises(SizeLimit, match="exceeds cap 9999 terms"):
+            indexcalc._exact_div(num, den, 9_999)
+        # 20 000 is not a multiple of 3: the peel runs past max(num) - max(den).
+        assert indexcalc._exact_div({i: 1 for i in range(20_000)}, {0: 1, 3: -1}, 10**7) is None
 
 
 class TestSpecialize:

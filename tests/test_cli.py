@@ -853,6 +853,25 @@ class TestOutputContract:
         assert proc.returncode == 5
         assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr, proc.stderr
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_unwritable_stdout_exits_one(self, tmp_path, batch):
+        """A write error other than a broken pipe: one line on stderr, no
+        traceback, exit 1 (output could not be written)."""
+        (tmp_path / "job.json").write_text(dumps(S2_CONFIG))
+        where = ["--batch", str(tmp_path)] if batch else ["--config", str(tmp_path / "job.json")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+        ))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "logq.cli", "qr-check", *where],
+                env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("logq: cannot write output: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
     def test_format_from_config_options(self, tmp_path, capsys):
         cfg = {**S2_CONFIG, "options": {"output_format": "table"}}
         run(tmp_path, "quantize", cfg)

@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 from unittest import mock
 
 import pytest
@@ -15,6 +16,7 @@ from logq import (
     Halfspace,
     InfiniteSupport,
     LaurentPoly,
+    LogqError,
     NotDelzant,
     NotFinite,
     Polyhedron,
@@ -38,6 +40,7 @@ from logq import (
     weyl_char,
 )
 from logq import charring, indexcalc, polyhedra, toricmodel
+from logq.jsonio import dumps
 
 
 def rank1(mapping):
@@ -688,6 +691,106 @@ class TestReducedPointsColumn:
         report = qr_check(d, terms)
         assert report.lattice_char == Character(2, expected)
         assert report.agree
+
+
+def cut_rect(x0, y0, w, h, cuts):
+    """The rectangle [x0, x0 + w] x [y0, y0 + h] with its four corners cut by
+    diagonal facets at lattice depths ``cuts`` (0 leaves the corner)."""
+    x1, y1 = x0 + w, y0 + h
+    hs = list(rect(x0, x1, y0, y1).halfspaces)
+    corners = ((1, 1, x0, y0), (-1, 1, x1, y0), (1, -1, x0, y1), (-1, -1, x1, y1))
+    for (sx, sy, cx, cy), k in zip(corners, cuts):
+        if k:
+            hs.append(Halfspace((sx, sy), sx * cx + sy * cy + k))
+    return Polyhedron(2, hs)
+
+
+@st.composite
+def delzant_cases(draw):
+    """Delzant boxes of rank 1-3 and cut rectangles, with their vertex terms."""
+    if draw(st.booleans()):
+        rank = draw(st.integers(1, 3))
+        lo = draw(st.tuples(*[st.integers(-4, 4)] * rank))
+        P = box(lo, tuple(a + draw(st.integers(1, 4)) for a in lo))
+    else:
+        w, h = draw(st.integers(3, 6)), draw(st.integers(3, 6))
+        # Cuts of depth below half the shorter side never meet on an edge.
+        depth = st.integers(0, (min(w, h) - 1) // 2)
+        P = cut_rect(draw(st.integers(-4, 4)), draw(st.integers(-4, 4)), w, h,
+                     draw(st.lists(depth, min_size=4, max_size=4)))
+    return delzant(P), fixed_terms_delzant(P)
+
+
+def _outcome(d, terms, **kwargs):
+    """qr_check's report and its JSON, or the error it raises."""
+    try:
+        report = qr_check(d, terms, **kwargs)
+    except LogqError as exc:
+        return type(exc), str(exc)
+    return report, dumps(report.to_jsonable())
+
+
+def _divided_outcome(d, terms, **kwargs):
+    """:func:`_outcome` with the product test refusing every job, so the
+    fixed-point sum is always divided out."""
+    with mock.patch.object(indexcalc, "_agrees_by_product", lambda *args: False):
+        return _outcome(d, terms, **kwargs)
+
+
+class TestProductTest:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(delzant_cases(), welded_cases()))
+    def test_same_report_as_division(self, case):
+        d, terms = case
+        got = _outcome(d, terms)
+        assert got == _divided_outcome(d, terms)
+        # The division route is sound here: a welded case's extra terms add a
+        # nonzero box character, which no specialization sends to 0.
+        report = got[0]
+        assert indexcalc._agrees_by_product(
+            report.lattice_char, terms, polyhedra.BOX_VOLUME_CAP) == report.agree
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_shifted_vertex_refused(self, rank):
+        P = box((0,) * rank, (2,) * rank)
+        d, terms = delzant(P), fixed_terms_delzant(P)
+        t = terms[-1]
+        terms[-1] = FixedPointTerm(t.sign, (t.mu[0] + 1,) + t.mu[1:], t.weights)
+        lattice_char = quantize_lattice(d)
+        assert indexcalc._agrees_by_product(lattice_char, fixed_terms_delzant(P), 10**7)
+        assert not indexcalc._agrees_by_product(lattice_char, terms, 10**7)
+        assert _outcome(d, terms) == _divided_outcome(d, terms)
+
+    @pytest.mark.parametrize("top", [5, 1000], ids=["agree", "quotient-over-cap"])
+    def test_small_cap_gives_up(self, top):
+        # A cancelling pair puts 1 - t^100 first in the common denominator, so
+        # L * (1 - t^100) has 10 terms, past the cap of 6 (the box [0, 5]).
+        d, _ = s2_family(0, 5)
+        terms = [FixedPointTerm(1, (0,), ((100,),)), FixedPointTerm(-1, (0,), ((100,),)),
+                 *fixed_terms_s2(0, top)]
+        lattice_char = quantize_lattice(d)
+        assert indexcalc._agrees_by_product(lattice_char, terms, 10**7) == (top == 5)
+        assert not indexcalc._agrees_by_product(lattice_char, terms, 6)
+        got = _outcome(d, terms, box_cap=6)
+        assert got == _divided_outcome(d, terms, box_cap=6)
+        if top == 5:
+            assert got[0].agree
+        else:
+            assert got == (SizeLimit, "rational_to_laurent: quotient exceeds cap 6 terms")
+
+    @pytest.mark.parametrize("sides", [(60, 60), (15, 15, 15)], ids=["square60", "cube15"])
+    def test_agreement_needs_no_division(self, sides, monkeypatch):
+        def no_division(*args, **kwargs):
+            raise AssertionError("an agreeing qr_check divided")
+
+        P = box((0,) * len(sides), sides)
+        d, terms = delzant(P), fixed_terms_delzant(P)
+        for name in ("rational_to_laurent", "_exact_div", "_specialization_xi", "atiyah_bott"):
+            monkeypatch.setattr(indexcalc, name, no_division)
+        monkeypatch.setattr(Character, "specialize", no_division)
+        report = qr_check(d, terms)
+        assert report.agree and report.fixedpoint_char is report.lattice_char
+        assert report.lattice_char.dimension() == prod(s + 1 for s in sides)
 
 
 class TestTrustedResults:
