@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from heapq import heapify, heappop, heappush
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from . import polyhedra, toricmodel
@@ -404,18 +404,16 @@ def fixed_terms_delzant(P: Polyhedron) -> list[FixedPointTerm]:
     """One fixed-point term per vertex of a Delzant lattice polytope.
 
     The vertex v contributes t^v / prod(1 - t^(e_i)) with e_i the primitive
-    inward edge generators.  Vertices must be simple (exactly rank active
-    facets), unimodular (edge determinant +-1), and lattice points; anything
-    else raises :class:`NotDelzant`.
+    inward edge generators, read from the facets active at v in its vertex
+    cone (:func:`polyhedra._vertex_cones`).  Vertices must be simple (exactly
+    rank active facets), unimodular (edge determinant +-1), and lattice
+    points; anything else raises :class:`NotDelzant`.
     """
     if not polyhedra.is_bounded(P):
         raise Unbounded("fixed-point data needs a bounded polytope")
     rank = P.rank
-    facets = sorted(set(h.row for h in P.halfspaces))
     out = []
-    for v in polyhedra.vertices(P):
-        num, den = polyhedra._integer_point(v)
-        active = [(a, b) for a, b in facets if sum(map(mul, a, num)) == b * den]
+    for v, num, den, active in polyhedra._vertex_cones(P):
         if len(active) != rank:
             raise NotDelzant(f"vertex {v} has {len(active)} active facets, expected {rank}")
         edges = []

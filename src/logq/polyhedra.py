@@ -10,19 +10,20 @@ of the restriction of the arrangement to the cell's flat: a flat is an
 integer point over a denominator plus an integer basis, cutting it by a
 hyperplane is one integer elimination, and each region is a region of a
 lower flat pushed off a hyperplane by an integer step too short to cross
-any other.  A polyhedron is unbounded iff some candidate extreme ray of
-its recession cone, the cross product of rank-1 normals up to sign, lies
-on the inner side of every facet.  A cell of an arrangement is unbounded
+any other.  A nonempty polyhedron is unbounded iff its normals do not span
+or some candidate extreme ray of its recession cone, the cross product of
+rank-1 normals up to sign, lies on the inner side of every facet, so
+emptiness is asked last.  A cell of an arrangement is unbounded
 iff the recession arrangement lists it, without sweeping the bounded
 cells: each unbounded cell is a cell of the central arrangement of the
 normals paired with a cell of the hyperplanes whose normals vanish on it.
-The same list certifies finite support.  Vertices and the arrangement
-vertex box solve square systems by Cramer's rule, as the cross product of
-the augmented rows, with closed-form determinants up to 3x3; and lattice
-points come from a scanline over a box (the last coordinate's integer
-interval in closed form).  Hard caps keep inputs at the intended desk
-scale; exceeding them raises :class:`SizeLimit` rather than silently
-truncating.
+The same list certifies finite support.  The vertex cones (each vertex
+with its active rows) and the arrangement vertex box solve square systems
+by Cramer's rule, as the cross product of the augmented rows, with
+closed-form determinants up to 3x3; and lattice points come from a
+scanline over a box (the last coordinate's integer interval in closed
+form).  Hard caps keep inputs at the intended desk scale; exceeding them
+raises :class:`SizeLimit` rather than silently truncating.
 """
 from __future__ import annotations
 
@@ -51,12 +52,6 @@ def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact polyhedral data; use Fraction or str")
     return Fraction(x)
-
-
-def _integer_point(point):
-    """A rational point as (integer numerators, common positive denominator)."""
-    q = lcm(*[c.denominator for c in point])
-    return tuple(c.numerator * (q // c.denominator) for c in point), q
 
 
 class Halfspace(_Record):
@@ -119,7 +114,9 @@ class Polyhedron(_Record):
         p = tuple(point)
         scale = 1
         if not all(type(c) is int for c in p):
-            p, scale = _integer_point([_frac(c) for c in p])
+            p = [_frac(c) for c in p]
+            scale = lcm(*[c.denominator for c in p])
+            p = [c.numerator * (scale // c.denominator) for c in p]
         if len(p) != self.rank:
             raise ValueError(f"point {point!r} does not match rank {self.rank}")
         for h in self.halfspaces:
@@ -300,18 +297,17 @@ def is_empty(P: Polyhedron) -> bool:
 
 
 def is_bounded(P: Polyhedron) -> bool:
-    """True iff the recession cone {d : a . d >= 0 for every normal a} is the
-    origin (vacuously true when empty).
+    """True iff P is empty or its recession cone {d : a . d >= 0 for every
+    normal a} is the origin.
 
     If no rank-1 distinct normal directions are independent, the normals do
     not span and a common-kernel line lies in the cone.  Otherwise the cone
     is pointed, and if nonzero it has an extreme ray with rank-1 independent
-    active normals: their cross product d, up to sign.  So P is unbounded
-    iff some such d has a . d >= 0 for every normal a, or <= 0 for every one.
+    active normals: their cross product d, up to sign, with a . d >= 0 for
+    every normal a, or <= 0 for every one.  An empty set is bounded, so
+    emptiness is asked only when a ray or a line is found.
     """
     _check_caps(P, "is_bounded")
-    if is_empty(P):
-        return True
     normals = [h.row[0] for h in P.halfspaces]
     dirs = sorted({max(a, tuple([-c for c in a])) for a in normals})
     spans = False
@@ -320,28 +316,36 @@ def is_bounded(P: Polyhedron) -> bool:
         if any(d):
             dots = [sum(map(mul, a, d)) for a in normals]
             if min(dots, default=0) >= 0 or max(dots, default=0) <= 0:
-                return False
+                return is_empty(P)
             spans = True
-    return spans
+    return spans or is_empty(P)
+
+
+def _vertex_cones(P: Polyhedron):
+    """Every vertex of P as ``(point, numerators, den, active rows)``, sorted
+    by the point (Fractions).  Each is the Cramer solution (:func:`_solve`)
+    of rank-many distinct rows at equality that satisfies every row; the same
+    integer pass records the rows tight at it, in sorted row order.  They cut
+    out the vertex's tangent cone, from which its fixed-point term
+    t^v / prod(1 - t^(e_i)) is read (Brion; Lawrence)."""
+    _check_caps(P, "vertices")
+    rows = sorted(set(h.row for h in P.halfspaces))
+    cones = {}
+    for subset in combinations(rows, P.rank):
+        sol = _solve(subset, P.rank)
+        if sol is not None and sol not in cones:
+            num, den = sol
+            slack = [sum(map(mul, a, num)) - b * den for a, b in rows]
+            if min(slack) >= 0:
+                cones[sol] = [row for row, s in zip(rows, slack) if not s]
+    return sorted((tuple(Fraction(c, den) for c in num), num, den, active)
+                  for (num, den), active in cones.items())
 
 
 def vertices(P: Polyhedron) -> list[tuple[Fraction, ...]]:
-    """All vertices, deduplicated, in lexicographic order.
-
-    A vertex is the unique solution of some rank-many facet equalities,
-    found by Cramer's rule (:func:`_solve`), that satisfies every constraint;
-    the check runs in integers on the numerators and the denominator.
-    """
-    _check_caps(P, "vertices")
-    ints = [h.row for h in P.halfspaces]
-    found = set()
-    for subset in combinations(ints, P.rank):
-        sol = _solve(subset, P.rank)
-        if sol is not None:
-            num, den = sol
-            if all(sum(map(mul, a, num)) >= b * den for a, b in ints):
-                found.add(sol)
-    return sorted(tuple(Fraction(c, den) for c in num) for num, den in found)
+    """All vertices, deduplicated, in lexicographic order: the points of
+    :func:`_vertex_cones`."""
+    return [point for point, *_ in _vertex_cones(P)]
 
 
 def lattice_points(

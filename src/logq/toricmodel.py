@@ -333,11 +333,7 @@ def signs(d: ToricLogData) -> tuple[int, ...]:
 
 def prequant_check(d: ToricLogData) -> bool:
     """Sufficient integrality test: every vertex of every piece is a lattice point."""
-    for p in d.pieces:
-        for v in polyhedra.vertices(p.region):
-            if any(c.denominator != 1 for c in v):
-                return False
-    return True
+    return all(den == 1 for p in d.pieces for _, _, den, _ in polyhedra._vertex_cones(p.region))
 
 
 def _log1p_exp(x: float) -> float:

@@ -20,6 +20,7 @@ from logq import (
     ToricLogData,
     arrangement_cells_with_points,
     indexcalc,
+    polyhedra,
     reduced_multiplicity,
 )
 from logq.cli import COMMANDS, main
@@ -613,6 +614,21 @@ class TestQRCheckCommand:
         monkeypatch.setattr(Polyhedron, "from_jsonable", classmethod(counting))
         assert run(tmp_path, "qr-check", square_config(2)) == 0
         assert len(decoded) == 1
+
+    def test_delzant_repeats_no_polyhedral_work(self, tmp_path, capsys, monkeypatch):
+        # On the square [0, 2]^2 (3x3 lattice points), FM runs once for delzant's
+        # EmptyPiece check and once for validate's report; the vertex cones
+        # carry the integer vertices, so none is rebuilt from Fractions; and
+        # the vertex cones and the arrangement vertex box solve 6 systems each.
+        calls = dict.fromkeys(("_fm_feasible", "_integer_point", "_solve"), 0)
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(polyhedra, name, None)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(polyhedra, name, counting, raising=False)
+        assert run(tmp_path, "qr-check", square_config(2)) == 0
+        assert calls == {"_fm_feasible": 2, "_integer_point": 0, "_solve": 12}
 
     def test_toric_kind_needs_terms(self, tmp_path, capsys):
         cfg = {

@@ -208,6 +208,22 @@ class TestPrequantCheck:
             integral = Fraction(lo).denominator == 1 and Fraction(hi).denominator == 1
             assert prequant_check(d) == integral
 
+    # A piece with no vertex passes the vertex test whatever its offsets,
+    # though its facet x = 1/2 does not pair integrally with the lattice.
+    @pytest.mark.xfail(strict=True, reason="a vertex-free piece passes the vertex test")
+    @pytest.mark.parametrize(
+        "halfspaces",
+        [
+            [Halfspace((1, 0), Fraction(1, 2))],
+            [Halfspace((1, 0), Fraction(1, 2)), Halfspace((-1, 0), Fraction(-5, 2))],
+        ],
+        ids=["half-plane", "strip"],
+    )
+    def test_half_integer_facet_without_vertices(self, halfspaces):
+        piece = PolytopePiece("A", Polyhedron(2, halfspaces))
+        d = ToricLogData(rank=2, components=("A",), pieces=(piece,), base_component="A")
+        assert not prequant_check(d)
+
 
 class TestS2Family:
     def test_structure(self):
