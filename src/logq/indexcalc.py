@@ -5,7 +5,9 @@ signs; when some piece is unbounded it first certifies that the signed
 indicator vanishes on every unbounded arrangement cell (so the result is an
 honest finite character).  Route two sums the Atiyah-Bott fixed-point
 terms ``sign * t^mu / prod(1 - t^w)`` (:class:`FixedPointTerm`, the one
-term type of the package) over a common denominator D with numerator N.
+term type of the package) over a common denominator D with numerator N,
+and reduces N / D to a character by dividing N by one binomial 1 - t^w of D
+at a time (:func:`_divided_by_factor`, the inverse of :func:`_times_factor`).
 ``qr_check`` runs both and reports their agreement weight by weight, which
 is the executable content of quantization commuting with reduction.  It
 decides agreement with the lattice character L exactly, by L * D = N, and
@@ -14,7 +16,6 @@ reduces the sum by division (:func:`rational_to_laurent`) only when it fails.
 from __future__ import annotations
 
 from collections import Counter
-from heapq import heapify, heappop, heappush
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -29,7 +30,7 @@ from .errors import (
     Unbounded,
 )
 from .jsonio import _Record, decode_int, decode_list, encode_int
-from .polyhedra import Halfspace, Polyhedron
+from .polyhedra import Polyhedron
 from .toricmodel import ToricLogData
 
 
@@ -122,19 +123,18 @@ def _validated_signs(d: ToricLogData) -> tuple[int, ...]:
     return toricmodel.signs(d)
 
 
-def _facet_hyperplanes(d: ToricLogData) -> list[Halfspace]:
-    """Deduplicated facet hyperplanes of all pieces, canonically oriented."""
-    seen = {}
+def _facet_hyperplanes(d: ToricLogData) -> list[tuple[tuple[int, ...], int]]:
+    """The distinct facet hyperplanes a.x = b of all pieces, as sorted
+    coprime integer rows ``(a, b)`` (each piece's :attr:`Halfspace.row`),
+    turned so that the first nonzero coefficient of a is positive."""
+    seen = set()
     for piece in d.pieces:
         for h in piece.region.halfspaces:
             a, b = h.row
-            lead = next(c for c in a if c)
-            if lead < 0:
-                a, b = tuple(-c for c in a), -b
-            seen[(a, b)] = None
-    return [
-        Halfspace(a, b) for a, b in sorted(seen)
-    ]
+            if next(filter(None, a)) < 0:
+                a, b = tuple([-c for c in a]), -b
+            seen.add((a, b))
+    return sorted(seen)
 
 
 def quantize_lattice(d: ToricLogData, *, box_cap: int = polyhedra.BOX_VOLUME_CAP) -> Character:
@@ -156,17 +156,17 @@ def quantize_lattice(d: ToricLogData, *, box_cap: int = polyhedra.BOX_VOLUME_CAP
     rank = d.rank
     if not d.pieces:
         return Character(rank, {})
-    hyperplanes = _facet_hyperplanes(d)
-    if not hyperplanes:
+    rows = _facet_hyperplanes(d)
+    if not rows:
         # Pieces with no facets cover all of t*; only total cancellation is finite.
         if sum(o):
             raise InfiniteSupport("facet-free pieces with nonzero total sign")
         return Character(rank, {})
     # The sweep's caps hold on both paths, with the sweep's error text.
-    rows, _ = polyhedra._arrangement_int(hyperplanes, "arrangement_cells")
+    polyhedra._arrangement_rank(rows, "arrangement_cells")
     if not all(polyhedra.is_bounded(piece.region) for piece in d.pieces):
         _certify_finite(d, o, rows)
-    box = polyhedra.arrangement_vertex_box(hyperplanes)
+    box = polyhedra.arrangement_vertex_box(rows)
     if box is None:
         return Character(rank, {})
     if len(d.pieces) == 1:
@@ -250,11 +250,16 @@ def _times_factor(p: dict[Weight, int], w: Weight) -> dict[Weight, int]:
     return out
 
 
-def _over_common_denominator(terms: Iterable[FixedPointTerm]) -> tuple[dict[Weight, int], Counter]:
+def _over_common_denominator(
+    terms: Iterable[FixedPointTerm], cap: int
+) -> tuple[dict[Weight, int], Counter]:
     """The fixed-point sum as N / prod(1 - t^w), w over the returned multiset
     (the multiset maximum of the terms' weights), with N's zeros dropped.
     Each weight is first turned to have its first nonzero coordinate
-    positive, by 1/(1 - t^w) = -t^(-w) / (1 - t^(-w))."""
+    positive, by 1/(1 - t^w) = -t^(-w) / (1 - t^(-w)).  Raises
+    :class:`SizeLimit` once N, or one term group's share of it, passes
+    ``cap`` terms: each factor can double a share, so an uncapped share
+    grows exponentially in the number of weights."""
     groups: dict[tuple[Weight, ...], dict[Weight, int]] = {}
     for t in terms:
         sign, mu, weights = t.sign, t.mu, []
@@ -271,55 +276,49 @@ def _over_common_denominator(terms: Iterable[FixedPointTerm]) -> tuple[dict[Weig
     for ws, part in groups.items():
         for w in (common - Counter(ws)).elements():
             part = _times_factor(part, w)
+            if len(part) > cap:
+                break
         for e, c in part.items():
-            numerator[e] = numerator.get(e, 0) + c
-    return {e: c for e, c in numerator.items() if c}, common
+            if v := numerator.get(e, 0) + c:
+                numerator[e] = v
+            else:
+                numerator.pop(e, None)
+        if len(part) > cap or len(numerator) > cap:
+            raise SizeLimit(f"fixed-point sum: numerator exceeds cap {cap} terms")
+    return numerator, common
 
 
-def _exact_div(num: dict[int, int], den: dict[int, int], max_terms: int):
-    """Exact quotient num/den in Z[t, 1/t], or None when it does not exist.
+def _divided_by_factor(p: dict[Weight, int], w: Weight, cap: int) -> dict[Weight, int] | None:
+    """The exact quotient p / (1 - t^w), the inverse of :func:`_times_factor`,
+    or None when it has more than ``cap`` terms.
 
-    Both are exponent -> nonzero coefficient maps.  Peels from the lowest
-    exponent, which a heap of the remainder's exponents yields (an exponent
-    that has left the remainder is skipped when popped).  Any exact quotient
-    q satisfies max(q) = max(num) - max(den), which bounds the loop; that
-    span can be astronomically wide, so a quotient of more than
-    ``max_terms`` nonzero terms raises :class:`SizeLimit`.
+    With w_j the first nonzero coordinate of w, each key is x = base + s * w
+    with s = x_j // w_j, on the line of its base.  Along a line,
+    p = q * (1 - t^w) reads p_s = q_s - q_(s-1), so q_s is the running sum
+    of p up to s, and q is finite iff every line's total is 0.  A nonzero
+    total raises :class:`NotFinite` before any quotient term is written.
     """
-    if not num:
-        return LaurentPoly()
-    work = dict(num)
-    heap = list(work)
-    heapify(heap)
-    d_min = min(den)
-    d_lead = den[d_min]
-    top = max(num) - max(den)
-    den_terms = tuple(den.items())
-    quotient: dict[int, int] = {}
-    while work:
-        n_min = heappop(heap)
-        if n_min not in work:
-            continue
-        e = n_min - d_min
-        if e > top:
-            return None
-        c, r = divmod(work[n_min], d_lead)
-        if r:
-            return None
-        quotient[e] = c
-        if len(quotient) > max_terms:
-            raise SizeLimit(f"rational_to_laurent: quotient exceeds cap {max_terms} terms")
-        for de, dc in den_terms:
-            k = e + de
-            v = work.get(k, 0) - c * dc
-            if v:
-                if k not in work:
-                    heappush(heap, k)
-                work[k] = v
-            elif k in work:
-                del work[k]
-    # Each peel clears the lowest exponent, so every e is set once, to c != 0.
-    return LaurentPoly._trusted(quotient)
+    j = next(i for i, c in enumerate(w) if c)
+    lines: dict[Weight, list[tuple[int, int, Weight]]] = {}
+    for x, c in p.items():
+        s = x[j] // w[j]
+        lines.setdefault(tuple([a - s * b for a, b in zip(x, w)]), []).append((s, c, x))
+    if any(sum(c for _, c, _ in line) for line in lines.values()):
+        raise NotFinite("rational character sum does not reduce to a finite character")
+    out: dict[Weight, int] = {}
+    for line in lines.values():
+        line.sort()
+        run = 0
+        for (s, c, x), (end, _, _) in zip(line, line[1:]):
+            run += c
+            if not run:
+                continue
+            if len(out) + end - s > cap:
+                return None
+            for _ in range(end - s):
+                out[x] = run
+                x = tuple(map(add, x, w))
+    return out
 
 
 def rational_to_laurent(
@@ -327,35 +326,36 @@ def rational_to_laurent(
 ) -> LaurentPoly:
     """Reduce a sum of rank-1 fixed-point terms to a finite Laurent polynomial.
 
-    All terms are put over a common denominator
-    (:func:`_over_common_denominator`) and the quotient is computed by exact
-    integer division.  Raises :class:`NotFinite` when a nonzero remainder
-    shows the formal sum is not a finite character, and :class:`SizeLimit`
-    when the quotient has more than ``max_terms`` terms.
+    The terms are put over a common denominator
+    (:func:`_over_common_denominator`), and the numerator is divided by one
+    binomial 1 - t^w at a time (:func:`_divided_by_factor`).  Raises
+    :class:`NotFinite` at the first binomial that leaves a remainder, since
+    the formal sum is then not a finite character, and :class:`SizeLimit`
+    when the numerator or the quotient has more than ``max_terms`` terms.
+    A partial quotient is the final one times the binomials still to divide,
+    each of which at most doubles its terms; so it is capped at ``max_terms``
+    times 2 per binomial left, and whether the cap is hit does not depend on
+    the order of the factors.
     """
     if any(t.rank != 1 for t in terms):
         raise RankMismatch("rational_to_laurent takes rank-1 fixed-point terms")
-    numerator, common = _over_common_denominator(terms)
-    denominator = {(0,): 1}
+    quotient, common = _over_common_denominator(terms, max_terms)
+    left = common.total()
     for w in common.elements():
-        denominator = _times_factor(denominator, w)
-    quotient = _exact_div(
-        {e: c for (e,), c in numerator.items()},
-        {e: c for (e,), c in denominator.items()},
-        max_terms,
-    )
-    if quotient is None:
-        raise NotFinite("rational character sum does not reduce to a finite character")
-    return quotient
+        left -= 1
+        quotient = _divided_by_factor(quotient, w, max_terms << left)
+        if quotient is None:
+            raise SizeLimit(f"rational_to_laurent: quotient exceeds cap {max_terms} terms")
+    return LaurentPoly._trusted({e: c for (e,), c in quotient.items()})
 
 
 def _agrees_by_product(lattice_char: Character, terms: Sequence[FixedPointTerm], cap: int) -> bool:
     """Whether the fixed-point sum N / D equals ``lattice_char`` (L), decided
     exactly as L * D = N in Z[t^+-1], which has no zero divisors.  False
-    also when N or a partial product of L has more than ``cap`` terms."""
-    numerator, common = _over_common_denominator(terms)
-    if len(numerator) > cap:
-        return False
+    also when a partial product of L has more than ``cap`` terms; N itself
+    is capped by :func:`_over_common_denominator`, which raises
+    :class:`SizeLimit`."""
+    numerator, common = _over_common_denominator(terms, cap)
     product = lattice_char.terms
     for w in common.elements():
         product = _times_factor(product, w)
@@ -369,12 +369,12 @@ def atiyah_bott(
 ) -> Character:
     """Evaluate a rank-1 fixed-point sum as a finite character.
 
-    Assembles sign * t^mu / prod(1 - t^w) over all terms and performs the
-    exact division.  Raises :class:`NotFinite` when the sum is not a finite
-    character (invalid fixed-point data), :class:`SizeLimit` when it has
+    Puts sign * t^mu / prod(1 - t^w) over a common denominator and divides
+    it out one binomial at a time (:func:`rational_to_laurent`).  Raises
+    :class:`NotFinite` when the sum is not a finite character (invalid
+    fixed-point data), :class:`SizeLimit` when its numerator or quotient has
     more than ``box_cap`` terms, and :class:`RankMismatch` for ranks other
-    than 1, which are handled through specialization in :func:`qr_check`
-    instead.
+    than 1, which :func:`qr_check` handles through specialization instead.
     """
     if not terms:
         return Character(1, {})
@@ -520,8 +520,8 @@ def qr_check(
     on the comparison domain, and on a mismatch records the coefficients
     attributed back through it (a match there is reported as agreement even
     where the characters differ).  Disagreement is reported, not raised.
-    ``box_cap`` caps both the lattice box volume and the number of terms of
-    the fixed-point quotient (:class:`SizeLimit`).
+    ``box_cap`` caps the lattice box volume and the number of terms of the
+    fixed-point numerator and quotient (:class:`SizeLimit`).
     """
     lattice_char = quantize_lattice(d, box_cap=box_cap)
     rank = d.rank

@@ -555,52 +555,51 @@ def _spread(mask, bits):
     return out
 
 
-def _arrangement_int(hyperplanes: Sequence[Halfspace], op: str):
-    if not hyperplanes:
+def _arrangement_rank(rows: Sequence[tuple[tuple[int, ...], int]], op: str) -> int:
+    """The common rank of the hyperplane rows, after the arrangement caps."""
+    if not rows:
         raise ValueError(f"{op}: need at least one hyperplane")
-    rank = len(hyperplanes[0].normal)
+    rank = len(rows[0][0])
     if rank > RANK_CAP:
         raise SizeLimit(f"{op}: rank {rank} exceeds cap {RANK_CAP}")
-    if len(hyperplanes) > ARRANGEMENT_CAP:
-        raise SizeLimit(
-            f"{op}: {len(hyperplanes)} hyperplanes exceed cap {ARRANGEMENT_CAP}"
-        )
-    for h in hyperplanes:
-        if len(h.normal) != rank:
-            raise ValueError("hyperplanes must share a common rank")
-    return [h.row for h in hyperplanes], rank
+    if len(rows) > ARRANGEMENT_CAP:
+        raise SizeLimit(f"{op}: {len(rows)} hyperplanes exceed cap {ARRANGEMENT_CAP}")
+    if any(len(a) != rank for a, _ in rows):
+        raise ValueError("hyperplanes must share a common rank")
+    return rank
 
 
 def arrangement_cells_with_points(
-    hyperplanes: Sequence[Halfspace],
+    rows: Sequence[tuple[tuple[int, ...], int]],
 ) -> list[tuple[Cell, tuple[tuple[int, ...], int]]]:
     """Every cell of the arrangement of the given hyperplane boundaries, in
     sign-vector order, paired with an interior point of its relatively open
     region as ``(numerators, den)``: integer numerators over a positive
     common denominator, in lowest terms.
 
-    Each Halfspace contributes the hyperplane <normal, x> = offset, and the
-    cells are every sign vector in {-1, 0, +1}^H that cuts out a nonempty
-    region.  They are swept by restriction to flats (:func:`_flat_regions`),
-    with no Fourier-Motzkin call.  A cell is bounded iff its (zero mask,
-    positive mask) pair is not one of the recession arrangement's unbounded
-    cells (:func:`_unbounded_cells`).
+    Each integer row ``(a, b)``, as :attr:`Halfspace.row`, gives the
+    hyperplane a.x = b.  The cells are every sign vector in {-1, 0, +1}^H
+    that cuts out a nonempty region, swept by restriction to flats
+    (:func:`_flat_regions`) with no Fourier-Motzkin call.  A cell is bounded
+    iff its (zero mask, positive mask) pair is not one of the recession
+    arrangement's unbounded cells (:func:`_unbounded_cells`).
     """
-    hps_int, rank = _arrangement_int(hyperplanes, "arrangement_cells")
-    unbounded = _unbounded_cells(hps_int, rank)
-    full = (1 << len(hps_int)) - 1
+    rank = _arrangement_rank(rows, "arrangement_cells")
+    unbounded = _unbounded_cells(rows, rank)
+    full = (1 << len(rows)) - 1
     out = []
-    for zero, regions in _sweep(hps_int, rank).items():
+    for zero, regions in _sweep(rows, rank).items():
         for pos, pt in regions.items():
             neg = full & ~(zero | pos)
-            sv = tuple([(pos >> i & 1) - (neg >> i & 1) for i in range(len(hps_int))])
+            sv = tuple([(pos >> i & 1) - (neg >> i & 1) for i in range(len(rows))])
             out.append((Cell(sv, (zero, pos) not in unbounded), pt))
     out.sort(key=lambda t: t[0].sign_vector)
     return out
 
 
-def arrangement_vertex_box(hyperplanes: Sequence[Halfspace]):
-    """Integer bounding box of all rank-fold hyperplane intersection points.
+def arrangement_vertex_box(rows: Sequence[tuple[tuple[int, ...], int]]):
+    """Integer bounding box of all rank-fold intersection points of the
+    hyperplanes a.x = b of the integer rows ``(a, b)``.
 
     Every vertex of every bounded arrangement cell is such a point, so the box
     contains the closure of every bounded cell.  The points come from
@@ -608,8 +607,8 @@ def arrangement_vertex_box(hyperplanes: Sequence[Halfspace]):
     division.  Returns None when the arrangement has no such points (and
     hence no bounded cells).
     """
-    hps_int, rank = _arrangement_int(hyperplanes, "arrangement_vertex_box")
-    points = [p for p in (_solve(s, rank) for s in combinations(hps_int, rank)) if p]
+    rank = _arrangement_rank(rows, "arrangement_vertex_box")
+    points = [p for p in (_solve(s, rank) for s in combinations(rows, rank)) if p]
     if not points:
         return None
     return [

@@ -174,19 +174,66 @@ class TestRationalToLaurent:
         assert elapsed < 5.0, f"{elapsed:.2f} s"
 
 
-    def test_exact_div_peels_in_exponent_order(self):
-        # sum (-1)^i t^i over 1 - t, i < 20 000: each peel also cancels the
-        # next exponent, whose heap entry is then skipped.  Taking the least
-        # remaining exponent by a scan of the remainder took 1.9-2.2 s on a 2-vCPU
-        # x86-64 host, against 0.013 s with the heap.
-        num = {i: (-1) ** i for i in range(20_000)}
-        den = {0: 1, 1: -1}
-        want = LaurentPoly({2 * j: 1 for j in range(10_000)})
-        assert indexcalc._exact_div(num, den, 10_000) == want
-        with pytest.raises(SizeLimit, match="exceeds cap 9999 terms"):
-            indexcalc._exact_div(num, den, 9_999)
-        # 20 000 is not a multiple of 3: the peel runs past max(num) - max(den).
-        assert indexcalc._exact_div({i: 1 for i in range(20_000)}, {0: 1, 3: -1}, 10**7) is None
+    def test_division_cap_edge(self):
+        # sum (-1)^i t^i over 1 - t, i < 20 000: the running sum along the
+        # line alternates 1, 0, so the quotient is t^0 + t^2 + ... + t^19998.
+        num = {(i,): (-1) ** i for i in range(20_000)}
+        want = {(2 * j,): 1 for j in range(10_000)}
+        assert indexcalc._divided_by_factor(num, (1,), 10_000) == want
+        assert indexcalc._divided_by_factor(num, (1,), 9_999) is None
+        # 20 000 is not a multiple of 3: the line through 0 has total 6667.
+        with pytest.raises(NotFinite):
+            indexcalc._divided_by_factor({(i,): 1 for i in range(20_000)}, (3,), 10**7)
+
+    @pytest.mark.parametrize("pair_first", [True, False], ids=["pair-first", "pair-last"])
+    def test_cap_does_not_depend_on_factor_order(self, pair_first):
+        # 1 - t^100 cancels out of the sum, whose quotient is 1 + t + ... + t^4.
+        # Divided by 1 - t first, the partial quotient is that times
+        # 1 - t^100: 10 terms, past a cap of 6 on every partial quotient.
+        pair = [fp(1, 0, (100,)), fp(-1, 0, (100,))]
+        s2 = [fp(1, 0, (1,)), fp(-1, 5, (1,))]
+        terms = pair + s2 if pair_first else s2 + pair
+        want = LaurentPoly({e: 1 for e in range(5)})
+        assert rational_to_laurent(terms, max_terms=6) == want
+        assert rational_to_laurent(terms, max_terms=5) == want
+        with pytest.raises(SizeLimit, match="^rational_to_laurent: quotient exceeds cap 4 terms$"):
+            rational_to_laurent(terms, max_terms=4)
+
+    def test_infinite_sum_refused_before_any_quotient_term(self):
+        # (1 - 2 t^2000000) / (1 - t): the line's total is -1.  Peeling from
+        # the least exponent wrote 10^6 quotient terms first and raised
+        # SizeLimit after 0.6-1.4 s on a 2-vCPU x86-64 host.
+        terms = [fp(1, 0, (1,)), fp(-1, 2_000_000, (1,)), fp(-1, 2_000_000, (1,))]
+        start = time.perf_counter()
+        with pytest.raises(NotFinite, match="does not reduce to a finite character"):
+            rational_to_laurent(terms, max_terms=10**6)
+        assert time.perf_counter() - start < 0.1
+
+
+@st.composite
+def _poly_and_weight(draw):
+    """A weight -> coefficient map of rank 1-3 and a nonzero weight."""
+    rank = draw(st.integers(1, 3))
+    key = st.tuples(*[st.integers(-4, 4)] * rank)
+    p = draw(st.dictionaries(key, st.integers(-3, 3).filter(bool), max_size=8))
+    w = draw(st.tuples(*[st.integers(-3, 3)] * rank).filter(any))
+    return p, w
+
+
+class TestDividedByFactor:
+    @settings(max_examples=200, deadline=None)
+    @given(_poly_and_weight(), st.data())
+    def test_inverts_times_factor(self, case, data):
+        p, w = case
+        n = indexcalc._times_factor(p, w)
+        assert indexcalc._divided_by_factor(n, w, 10**6) == p
+        # One coefficient changed by 1 changes its line's total by 1.
+        e = data.draw(st.sampled_from(sorted(n) or [(0,) * len(w)]))
+        changed = {**n, e: n.get(e, 0) + 1}
+        if not changed[e]:
+            del changed[e]
+        with pytest.raises(NotFinite):
+            indexcalc._divided_by_factor(changed, w, 10**6)
 
 
 class TestSpecialize:

@@ -92,6 +92,25 @@ def square_config(side):
     }
 
 
+def _wide_denominator_config():
+    """The unit square's vertex terms plus t^0 / prod_(k<18) (1 - t^(1, 2^k)).
+    Over the common denominator each vertex term's share of the numerator
+    has 2^18 terms; building them all took 2.8 s and exited 4 at a box cap
+    of 1000, and memory doubled with each further weight."""
+    config = square_config(1)
+    P = Polyhedron.from_jsonable(config["payload"])
+    terms = [t.to_jsonable() for t in indexcalc.fixed_terms_delzant(P)]
+    terms.append({"sign": 1, "mu": [0, 0], "weights": [[1, 2**k] for k in range(18)]})
+    return {**config, "fixed_terms": terms}
+
+
+WIDE_DENOMINATOR_CONFIG = _wide_denominator_config()
+NUMERATOR_OVER_CAP = {
+    "type": "SizeLimit",
+    "message": "fixed-point sum: numerator exceeds cap 1000 terms",
+}
+
+
 def run(tmp_path, command, config, *extra):
     path = tmp_path / "job.json"
     path.write_text(dumps(config))
@@ -603,6 +622,27 @@ class TestQRCheckCommand:
             }
         }
 
+    def test_fixed_point_numerator_is_capped(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code, payload = run_json(tmp_path, capsys, "qr-check", WIDE_DENOMINATOR_CONFIG,
+                                 "--box-cap", "1000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert payload == {"error": NUMERATOR_OVER_CAP}
+
+    def test_fixed_point_numerator_is_capped_in_batch(self, tmp_path, capsys):
+        (tmp_path / "a_good.json").write_text(dumps(square_config(1)))
+        (tmp_path / "b_wide.json").write_text(dumps(WIDE_DENOMINATOR_CONFIG))
+        start = time.perf_counter()
+        code = main(["qr-check", "--batch", str(tmp_path), "--box-cap", "1000"])
+        assert time.perf_counter() - start < 1.0
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert [(r["file"], r["exit_code"]) for r in out["results"]] == [
+            ("a_good.json", 0), ("b_wide.json", 2)
+        ]
+        assert out["results"][1]["error"] == NUMERATOR_OVER_CAP
+
     def test_delzant_decodes_its_polyhedron_once(self, tmp_path, capsys, monkeypatch):
         decoded = []
         decode = Polyhedron.from_jsonable.__func__
@@ -620,7 +660,10 @@ class TestQRCheckCommand:
         # EmptyPiece check and once for validate's report; the vertex cones
         # carry the integer vertices, so none is rebuilt from Fractions; and
         # the vertex cones and the arrangement vertex box solve 6 systems each.
-        calls = dict.fromkeys(("_fm_feasible", "_integer_point", "_solve"), 0)
+        # Rows are made primitive once per halfspace as it is decoded (4) and
+        # once per Delzant edge (8); the facet rows are not rebuilt as
+        # halfspaces.
+        calls = dict.fromkeys(("_fm_feasible", "_integer_point", "_solve", "_primitive"), 0)
         for name in calls:
             def counting(*args, _name=name, _fn=getattr(polyhedra, name, None)):
                 calls[_name] += 1
@@ -628,7 +671,7 @@ class TestQRCheckCommand:
 
             monkeypatch.setattr(polyhedra, name, counting, raising=False)
         assert run(tmp_path, "qr-check", square_config(2)) == 0
-        assert calls == {"_fm_feasible": 2, "_integer_point": 0, "_solve": 12}
+        assert calls == {"_fm_feasible": 2, "_integer_point": 0, "_solve": 12, "_primitive": 12}
 
     def test_toric_kind_needs_terms(self, tmp_path, capsys):
         cfg = {

@@ -2,7 +2,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
 from unittest import mock
 
 import pytest
@@ -721,6 +721,42 @@ def delzant_cases(draw):
     return delzant(P), fixed_terms_delzant(P)
 
 
+def cut_rect_vertices(x0, y0, w, h, cuts):
+    """The vertices of :func:`cut_rect` in counterclockwise order, read off
+    its parameters (an uncut corner appears twice)."""
+    x1, y1 = x0 + w, y0 + h
+    bl, br, tl, tr = cuts
+    return [(x0, y0 + bl), (x0 + bl, y0), (x1 - br, y0), (x1, y0 + br),
+            (x1, y1 - tr), (x1 - tr, y1), (x0 + tl, y1), (x0, y1 - tl)]
+
+
+def pick_count(vs):
+    """Lattice points of a lattice polygon by Pick's theorem, A + B/2 + 1:
+    twice the area A by the shoelace formula, and B the sum of the gcds of
+    the edge vectors."""
+    edges = list(zip(vs, vs[1:] + vs[:1]))
+    twice_area = sum(x * y2 - x2 * y for (x, y), (x2, y2) in edges)
+    boundary = sum(gcd(x2 - x, y2 - y) for (x, y), (x2, y2) in edges)
+    return (twice_area + boundary) // 2 + 1
+
+
+class TestPickOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(3, 6), st.integers(3, 6),
+           st.data())
+    def test_cut_rectangles(self, x0, y0, w, h, data):
+        depth = st.integers(0, (min(w, h) - 1) // 2)
+        cuts = data.draw(st.lists(depth, min_size=4, max_size=4))
+        P = cut_rect(x0, y0, w, h, cuts)
+        assert quantize_lattice(delzant(P)).dimension() == pick_count(
+            cut_rect_vertices(x0, y0, w, h, cuts))
+
+    def test_large_cut_square(self):
+        args = (-500, 7, 1000, 1000, (0, 3, 499, 1))
+        assert quantize_lattice(delzant(cut_rect(*args))).dimension() == pick_count(
+            cut_rect_vertices(*args)) == 1001**2 - 6 - 124750 - 1
+
+
 def _outcome(d, terms, **kwargs):
     """qr_check's report and its JSON, or the error it raises."""
     try:
@@ -785,7 +821,8 @@ class TestProductTest:
 
         P = box((0,) * len(sides), sides)
         d, terms = delzant(P), fixed_terms_delzant(P)
-        for name in ("rational_to_laurent", "_exact_div", "_specialization_xi", "atiyah_bott"):
+        for name in ("rational_to_laurent", "_divided_by_factor", "_specialization_xi",
+                     "atiyah_bott"):
             monkeypatch.setattr(indexcalc, name, no_division)
         monkeypatch.setattr(Character, "specialize", no_division)
         report = qr_check(d, terms)

@@ -297,7 +297,7 @@ def _witness_point(witness):
 
 def cells(hps):
     """The cells of the arrangement, without their witnesses."""
-    return [cell for cell, _ in arrangement_cells_with_points(hps)]
+    return [cell for cell, _ in arrangement_cells_with_points([h.row for h in hps])]
 
 
 class TestArrangementCells:
@@ -330,7 +330,7 @@ class TestArrangementCells:
 
     def test_witness_points_realize_signs(self):
         hps = [Halfspace((1, 0), 0), Halfspace((0, 1), 1), Halfspace((1, 1), 2)]
-        for cell, witness in arrangement_cells_with_points(hps):
+        for cell, witness in arrangement_cells_with_points([h.row for h in hps]):
             point = _witness_point(witness)
             for h, s in zip(hps, cell.sign_vector):
                 val = sum(a * x for a, x in zip(h.normal, point))
@@ -600,8 +600,8 @@ class TestSweepOracles:
     def test_witnesses_and_bounded_flags(self, hps):
         rank = len(hps[0].normal)
         # With no vertex box there is no bounded cell, and any box will do.
-        box = arrangement_vertex_box(hps) or [(0, 0)] * rank
-        for cell, witness in arrangement_cells_with_points(hps):
+        box = arrangement_vertex_box([h.row for h in hps]) or [(0, 0)] * rank
+        for cell, witness in arrangement_cells_with_points([h.row for h in hps]):
             point = _witness_point(witness)
             assert _arrangement_signs(hps, point) == cell.sign_vector
             closure = _closure(hps, cell.sign_vector)
@@ -645,7 +645,7 @@ class TestSweepOracles:
             polyhedra, "_fm_feasible", side_effect=AssertionError("FM call in the sweep")
         )
         with fm:
-            cells = arrangement_cells_with_points(hps)
+            cells = arrangement_cells_with_points([h.row for h in hps])
         assert [_arrangement_signs(hps, _witness_point(w)) for _, w in cells] == [
             c.sign_vector for c, _ in cells
         ]
@@ -657,7 +657,7 @@ class TestSweepOracles:
             Halfspace((1, 0), 1),
             Halfspace((0, 1), 0),
         ]
-        cells = arrangement_cells_with_points(hps)
+        cells = arrangement_cells_with_points([h.row for h in hps])
         assert {c.sign_vector for c, _ in cells} == _brute_force_sign_vectors(hps)
         assert len(cells) == 15
         for cell, witness in cells:
@@ -884,7 +884,7 @@ class TestCramerOracles:
     @settings(max_examples=300, deadline=None)
     @given(_arrangement(max_size=7))
     def test_vertex_box_matches_fraction_solve(self, hps):
-        box = arrangement_vertex_box(hps)
+        box = arrangement_vertex_box([h.row for h in hps])
         assert box == _fraction_vertex_box(hps)
         assert box is None or all(type(c) is int for interval in box for c in interval)
 
@@ -935,5 +935,5 @@ class TestIntegerKernel:
             polyhedra, "Fraction", side_effect=AssertionError("Fraction built in the kernel")
         ):
             is_empty(P)
-            arrangement_cells_with_points(hps)
-            arrangement_vertex_box(hps)
+            arrangement_cells_with_points([h.row for h in hps])
+            arrangement_vertex_box([h.row for h in hps])
