@@ -259,7 +259,11 @@ def _over_common_denominator(
     positive, by 1/(1 - t^w) = -t^(-w) / (1 - t^(-w)).  Raises
     :class:`SizeLimit` once N, or one term group's share of it, passes
     ``cap`` terms: each factor can double a share, so an uncapped share
-    grows exponentially in the number of weights."""
+    grows exponentially in the number of weights.  Groups and factors are
+    taken in sorted order, so the outcome depends on the terms as a
+    multiset; a sum whose finished N is within the cap can still raise
+    when a share or the running N passes it before a later factor or group
+    shrinks it."""
     groups: dict[tuple[Weight, ...], dict[Weight, int]] = {}
     for t in terms:
         sign, mu, weights = t.sign, t.mu, []
@@ -273,8 +277,8 @@ def _over_common_denominator(
     for ws in groups:
         common |= Counter(ws)
     numerator: dict[Weight, int] = {}
-    for ws, part in groups.items():
-        for w in (common - Counter(ws)).elements():
+    for ws, part in sorted(groups.items()):
+        for w in sorted((common - Counter(ws)).elements()):
             part = _times_factor(part, w)
             if len(part) > cap:
                 break
@@ -296,7 +300,8 @@ def _divided_by_factor(p: dict[Weight, int], w: Weight, cap: int) -> dict[Weight
     with s = x_j // w_j, on the line of its base.  Along a line,
     p = q * (1 - t^w) reads p_s = q_s - q_(s-1), so q_s is the running sum
     of p up to s, and q is finite iff every line's total is 0.  A nonzero
-    total raises :class:`NotFinite` before any quotient term is written.
+    total raises :class:`NotFinite`, and the quotient's size is counted from
+    its runs, before any quotient term is written.
     """
     j = next(i for i, c in enumerate(w) if c)
     lines: dict[Weight, list[tuple[int, int, Weight]]] = {}
@@ -305,19 +310,21 @@ def _divided_by_factor(p: dict[Weight, int], w: Weight, cap: int) -> dict[Weight
         lines.setdefault(tuple([a - s * b for a, b in zip(x, w)]), []).append((s, c, x))
     if any(sum(c for _, c, _ in line) for line in lines.values()):
         raise NotFinite("rational character sum does not reduce to a finite character")
-    out: dict[Weight, int] = {}
+    runs = []
     for line in lines.values():
         line.sort()
         run = 0
         for (s, c, x), (end, _, _) in zip(line, line[1:]):
             run += c
-            if not run:
-                continue
-            if len(out) + end - s > cap:
-                return None
-            for _ in range(end - s):
-                out[x] = run
-                x = tuple(map(add, x, w))
+            if run:
+                runs.append((x, end - s, run))
+    if sum(n for _, n, _ in runs) > cap:
+        return None
+    out: dict[Weight, int] = {}
+    for x, n, c in runs:
+        for _ in range(n):
+            out[x] = c
+            x = tuple(map(add, x, w))
     return out
 
 
@@ -328,24 +335,29 @@ def rational_to_laurent(
 
     The terms are put over a common denominator
     (:func:`_over_common_denominator`), and the numerator is divided by one
-    binomial 1 - t^w at a time (:func:`_divided_by_factor`).  Raises
-    :class:`NotFinite` at the first binomial that leaves a remainder, since
-    the formal sum is then not a finite character, and :class:`SizeLimit`
-    when the numerator or the quotient has more than ``max_terms`` terms.
-    A partial quotient is the final one times the binomials still to divide,
-    each of which at most doubles its terms; so it is capped at ``max_terms``
-    times 2 per binomial left, and whether the cap is hit does not depend on
-    the order of the factors.
+    binomial 1 - t^w at a time (:func:`_divided_by_factor`): each step
+    divides by the binomial, of those left, whose quotient has the fewest
+    terms (the least w on a tie).  Raises :class:`NotFinite` when one leaves
+    a remainder, since the formal sum is then not a finite character, and
+    :class:`SizeLimit` when the numerator has more than ``max_terms`` terms
+    or no binomial left keeps the quotient within them.  So the outcome
+    depends on N and the multiset of binomials only, and no partial quotient
+    passes the cap; a final quotient within the cap can still raise, as a
+    partial one is the final one times the binomials still to divide.
     """
     if any(t.rank != 1 for t in terms):
         raise RankMismatch("rational_to_laurent takes rank-1 fixed-point terms")
     quotient, common = _over_common_denominator(terms, max_terms)
-    left = common.total()
-    for w in common.elements():
-        left -= 1
-        quotient = _divided_by_factor(quotient, w, max_terms << left)
-        if quotient is None:
+    while common:
+        best = None
+        for w in sorted(common):
+            q = _divided_by_factor(quotient, w, len(best[0]) - 1 if best else max_terms)
+            if q is not None:
+                best = q, w
+        if best is None:
             raise SizeLimit(f"rational_to_laurent: quotient exceeds cap {max_terms} terms")
+        quotient, w = best
+        common -= Counter([w])
     return LaurentPoly._trusted({e: c for (e,), c in quotient.items()})
 
 
@@ -372,8 +384,8 @@ def atiyah_bott(
     Puts sign * t^mu / prod(1 - t^w) over a common denominator and divides
     it out one binomial at a time (:func:`rational_to_laurent`).  Raises
     :class:`NotFinite` when the sum is not a finite character (invalid
-    fixed-point data), :class:`SizeLimit` when its numerator or quotient has
-    more than ``box_cap`` terms, and :class:`RankMismatch` for ranks other
+    fixed-point data), :class:`SizeLimit` when its numerator or a partial
+    quotient passes ``box_cap`` terms, and :class:`RankMismatch` for ranks other
     than 1, which :func:`qr_check` handles through specialization instead.
     """
     if not terms:

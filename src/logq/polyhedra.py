@@ -556,7 +556,8 @@ def _spread(mask, bits):
 
 
 def _arrangement_rank(rows: Sequence[tuple[tuple[int, ...], int]], op: str) -> int:
-    """The common rank of the hyperplane rows, after the arrangement caps."""
+    """The common rank of the coprime integer hyperplane rows (as
+    :attr:`Halfspace.row`), after the arrangement caps and a zero-normal check."""
     if not rows:
         raise ValueError(f"{op}: need at least one hyperplane")
     rank = len(rows[0][0])
@@ -566,6 +567,8 @@ def _arrangement_rank(rows: Sequence[tuple[tuple[int, ...], int]], op: str) -> i
         raise SizeLimit(f"{op}: {len(rows)} hyperplanes exceed cap {ARRANGEMENT_CAP}")
     if any(len(a) != rank for a, _ in rows):
         raise ValueError("hyperplanes must share a common rank")
+    if not all(any(a) for a, _ in rows):
+        raise ValueError("hyperplane normal must be nonzero")
     return rank
 
 
@@ -577,7 +580,7 @@ def arrangement_cells_with_points(
     region as ``(numerators, den)``: integer numerators over a positive
     common denominator, in lowest terms.
 
-    Each integer row ``(a, b)``, as :attr:`Halfspace.row`, gives the
+    Each coprime integer row ``(a, b)``, as :attr:`Halfspace.row`, gives the
     hyperplane a.x = b.  The cells are every sign vector in {-1, 0, +1}^H
     that cuts out a nonempty region, swept by restriction to flats
     (:func:`_flat_regions`) with no Fourier-Motzkin call.  A cell is bounded
@@ -599,7 +602,8 @@ def arrangement_cells_with_points(
 
 def arrangement_vertex_box(rows: Sequence[tuple[tuple[int, ...], int]]):
     """Integer bounding box of all rank-fold intersection points of the
-    hyperplanes a.x = b of the integer rows ``(a, b)``.
+    hyperplanes a.x = b of the coprime integer rows ``(a, b)``, as
+    :attr:`Halfspace.row`.
 
     Every vertex of every bounded arrangement cell is such a point, so the box
     contains the closure of every bounded cell.  The points come from

@@ -6,6 +6,7 @@ and re-expansion for SU(2) decompositions.
 """
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -186,18 +187,53 @@ class TestRationalToLaurent:
             indexcalc._divided_by_factor({(i,): 1 for i in range(20_000)}, (3,), 10**7)
 
     @pytest.mark.parametrize("pair_first", [True, False], ids=["pair-first", "pair-last"])
-    def test_cap_does_not_depend_on_factor_order(self, pair_first):
-        # 1 - t^100 cancels out of the sum, whose quotient is 1 + t + ... + t^4.
-        # Divided by 1 - t first, the partial quotient is that times
-        # 1 - t^100: 10 terms, past a cap of 6 on every partial quotient.
-        pair = [fp(1, 0, (100,)), fp(-1, 0, (100,))]
-        s2 = [fp(1, 0, (1,)), fp(-1, 5, (1,))]
-        terms = pair + s2 if pair_first else s2 + pair
-        want = LaurentPoly({e: 1 for e in range(5)})
+    @pytest.mark.parametrize("run_w, pair_w", [(1, 100), (100, 1)], ids=["dense", "sparse"])
+    def test_cap_does_not_depend_on_factor_order(self, run_w, pair_w, pair_first):
+        # 1 - t^pair_w cancels out of the sum, whose quotient is the 5 terms
+        # (1 - t^(5 run_w)) / (1 - t^run_w).  Divided by 1 - t^run_w first,
+        # the partial quotient is that times 1 - t^pair_w: 10 terms, past a
+        # cap of 6.  So no fixed order of the binomials keeps both cases in.
+        pair = [fp(1, 0, (pair_w,)), fp(-1, 0, (pair_w,))]
+        run = [fp(1, 0, (run_w,)), fp(-1, 5 * run_w, (run_w,))]
+        terms = pair + run if pair_first else run + pair
+        want = LaurentPoly({run_w * e: 1 for e in range(5)})
         assert rational_to_laurent(terms, max_terms=6) == want
         assert rational_to_laurent(terms, max_terms=5) == want
         with pytest.raises(SizeLimit, match="^rational_to_laurent: quotient exceeds cap 4 terms$"):
             rational_to_laurent(terms, max_terms=4)
+
+    @pytest.mark.parametrize("order", ["pairs-first", "pairs-last", "mixed"])
+    def test_numerator_cap_does_not_depend_on_term_order(self, order):
+        # A run of 10 terms with no denominator, and cancelling pairs over
+        # 1 - t and 1 - t^100: N is the run times (1 - t)(1 - t^100), 4 terms.
+        # Times 1 - t^100 first, the run's share has 20 terms, past the cap.
+        run = [fp(1, e) for e in range(10)]
+        wide, narrow = [fp(1, 0, (100,)), fp(-1, 0, (100,))], [fp(1, 0, (1,)), fp(-1, 0, (1,))]
+        terms = {"pairs-first": wide + narrow + run, "pairs-last": run + wide + narrow,
+                 "mixed": narrow + run + wide}[order]
+        want = LaurentPoly({e: 1 for e in range(10)})
+        assert rational_to_laurent(terms, max_terms=10) == want
+        with pytest.raises(SizeLimit, match="^rational_to_laurent: quotient exceeds cap 9 terms$"):
+            rational_to_laurent(terms, max_terms=9)
+
+    def test_no_partial_quotient_past_the_cap(self):
+        # (1 - t^M) / prod_{k=1..5}(1 - t^k), M = 1.5 * 10^8, is not finite,
+        # but each binomial alone divides 1 - t^M, into M/k terms.  A
+        # partial quotient allowed 2^(binomials left) times the cap would
+        # hold 1.5 * 10^8 terms before the next binomial proved it.
+        ws = [1, 2, 3, 4, 5]
+        terms = [fp(1, 0, ws), fp(-1, 150_000_000, ws)]
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(SizeLimit, match="quotient exceeds cap 10000000 terms"):
+                rational_to_laurent(terms)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
+        assert peak < 10**6, f"{peak} bytes"
 
     def test_infinite_sum_refused_before_any_quotient_term(self):
         # (1 - 2 t^2000000) / (1 - t): the line's total is -1.  Peeling from

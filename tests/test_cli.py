@@ -622,6 +622,28 @@ class TestQRCheckCommand:
             }
         }
 
+    def test_no_partial_quotient_past_the_default_cap(self, tmp_path, capsys):
+        # (1 - t^M) / prod_{k=1..5}(1 - t^k) with M = 1.5 * 10^8: every
+        # binomial alone leaves M/k > 10^7 terms, so none is divided.
+        ws = [[k] for k in range(1, 6)]
+        cfg = {
+            **S2_CONFIG,
+            "fixed_terms": [
+                {"sign": 1, "mu": [0], "weights": ws},
+                {"sign": -1, "mu": [150000000], "weights": ws},
+            ],
+        }
+        start = time.perf_counter()
+        code, payload = run_json(tmp_path, capsys, "qr-check", cfg)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert payload == {
+            "error": {
+                "type": "SizeLimit",
+                "message": "rational_to_laurent: quotient exceeds cap 10000000 terms",
+            }
+        }
+
     def test_fixed_point_numerator_is_capped(self, tmp_path, capsys):
         start = time.perf_counter()
         code, payload = run_json(tmp_path, capsys, "qr-check", WIDE_DENOMINATOR_CONFIG,

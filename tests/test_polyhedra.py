@@ -349,6 +349,12 @@ class TestArrangementCells:
         (c, *_), = [cells([Halfspace((1,), 0)])[:1]]
         assert isinstance(c, Cell)
 
+    @pytest.mark.parametrize("fn", [arrangement_cells_with_points, arrangement_vertex_box])
+    def test_zero_normal_row_rejected(self, fn):
+        # A Halfspace refuses a zero normal; so do the functions taking raw rows.
+        with pytest.raises(ValueError, match="^hyperplane normal must be nonzero$"):
+            fn([((1, 0), 0), ((0, 0), 1)])
+
 
 class TestHalfspaceValidation:
     def test_zero_normal_rejected(self):
