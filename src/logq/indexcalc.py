@@ -12,11 +12,16 @@ the inverse of :func:`_times_factor`).  ``qr_check`` runs both and reports
 their agreement weight by weight, which is the executable content of
 quantization commuting with reduction.  It builds N and D once per job,
 decides agreement with the lattice character L exactly, by L * D = N, and
-divides only when that fails.
+divides only when that fails.  Its per-weight table covers the supports
+and their 1-margin shell, which :func:`_shell_runs` builds as sorted
+integer runs of the last coordinate per head (the other coordinates), so
+the rows are written in lexicographic order with no set of shell points
+and no sort of them.
 """
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -485,16 +490,55 @@ def mincoupling_index(base_degree: int, fibre: Character) -> SU2Char:
     return total
 
 
-def _shell(weights: Iterable[Weight], rank: int) -> set[Weight]:
-    """All lattice points within Chebyshev distance 1 of the given set.
-
-    The unit cube is the sum of the unit segments of the axes, so the set is
-    grown by one step along each axis in turn.
-    """
-    out: set[Weight] = set(weights)
-    for i in range(rank):
-        out |= {w[:i] + (w[i] + s,) + w[i + 1:] for w in out for s in (-1, 1)}
+def _merged(runs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Closed integer runs (lo, hi), given in order of lo, with the runs that
+    overlap or touch joined into one."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in runs:
+        if out and lo <= out[-1][1] + 1:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
     return out
+
+
+def _shell_runs(weights: Iterable[Weight], rank: int) -> list[tuple[Weight, list[tuple[int, int]]]]:
+    """All lattice points within Chebyshev distance 1 of the given weights
+    (repeats allowed), as sorted (head, runs) pairs: the points head + (x,),
+    lo <= x <= hi, for each closed run (lo, hi) of each head, in order.
+
+    The weights are grouped by their first rank - 1 coordinates, the head.
+    Each point x of a head is widened to the run [x - 1, x + 1], and runs
+    that overlap or touch are merged.  Then, one outer axis at a time, each
+    head's runs are spread to the heads one step away along it and merged
+    again where they meet (the unit cube is the sum of the axes' unit
+    segments).  Merged runs are disjoint and do not touch, so each point
+    comes out once, and in lexicographic order, with no set of points built
+    and no sort of them: only each head's last coordinates, the runs met at
+    one head, and the heads are sorted.
+    """
+    rows: dict[Weight, list[int]] = {}
+    for w in weights:
+        rows.setdefault(w[:-1], []).append(w[-1])
+    shell: dict[Weight, list[tuple[int, int]]] = {}
+    for head, xs in rows.items():
+        xs.sort()
+        runs, lo, hi = [], xs[0] - 1, xs[0] + 1
+        for x in xs:
+            if x > hi + 2:  # [x - 1, x + 1] neither overlaps nor touches [lo, hi]
+                runs.append((lo, hi))
+                lo = x - 1
+            hi = x + 1
+        runs.append((lo, hi))
+        shell[head] = runs
+    for i in range(rank - 1):
+        spread: dict[Weight, list[tuple[int, int]]] = {}
+        for head, runs in shell.items():
+            for s in (-1, 0, 1):
+                spread.setdefault(head[:i] + (head[i] + s,) + head[i + 1:], []).extend(runs)
+        shell = {head: _merged(sorted(runs)) for head, runs in spread.items()}
+    return [(head, shell[head]) for head in sorted(shell)]
 
 
 def _specialization_xi(lattice_char: Character) -> Weight:
@@ -507,7 +551,8 @@ def _specialization_xi(lattice_char: Character) -> Weight:
     """
     rank = lattice_char.rank
     support = lattice_char.support()
-    domain = _shell(support, rank)
+    shell = _shell_runs(support, rank)
+    domain = [h + (x,) for h, runs in shell for lo, hi in runs for x in range(lo, hi + 1)]
     diam = max((max(coords) - min(coords) for coords in zip(*support)), default=0)
     m0 = max(diam + 1, 2)
     for m in range(m0, m0 + 1000):
@@ -559,8 +604,13 @@ def qr_check(
             if fp_char.specialize(xi) == lattice_char.specialize(xi):
                 fp_char, agree = lattice_char, True
     lat, fp = lattice_char.terms, fp_char.terms
-    domain = sorted(_shell(lat.keys() | fp.keys(), rank))
-    table = tuple((w, lat.get(w, 0), fp.get(w, 0), lat.get(w, 0)) for w in domain)
+    same = fp_char is lattice_char  # then each row takes one lookup
+    table = tuple([
+        (w := head + (x,), a := lat.get(w, 0), a if same else fp.get(w, 0), a)
+        for head, runs in _shell_runs(lat if same else chain(lat, fp), rank)
+        for lo, hi in runs
+        for x in range(lo, hi + 1)
+    ])
     return QRReport(
         lattice_char=lattice_char,
         fixedpoint_char=fp_char,

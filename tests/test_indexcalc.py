@@ -313,24 +313,79 @@ class TestFiniteSupportCertificate:
             assert str(info.value) == expected
 
 
+def cube_shell(weights, rank):
+    """The points within Chebyshev distance 1 of ``weights``, sorted, by brute force."""
+    return sorted({
+        tuple(a + b for a, b in zip(w, off))
+        for w in weights
+        for off in product((-1, 0, 1), repeat=rank)
+    })
+
+
+def shell_points(weights, rank):
+    """The points of :func:`indexcalc._shell_runs`, in the order it gives them."""
+    return [
+        head + (x,)
+        for head, runs in indexcalc._shell_runs(weights, rank)
+        for lo, hi in runs
+        for x in range(lo, hi + 1)
+    ]
+
+
+@st.composite
+def _walks(draw, rank):
+    """Weights on a walk with steps of at most 2 along each outer axis and at
+    most 4 along the last: the distances at which runs of neighbouring points,
+    and of neighbouring heads, overlap, share an endpoint, touch or stay apart.
+    Points may repeat."""
+    w = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+    out = []
+    for _ in range(draw(st.integers(0, 5))):
+        out.append(tuple(w))
+        step = draw(st.lists(st.integers(-2, 2), min_size=rank - 1, max_size=rank - 1))
+        last = draw(st.integers(-4, 4))
+        w = [a + b for a, b in zip(w, step + [last])]
+    return out
+
+
 class TestShell:
-    @settings(deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         st.integers(1, 3).flatmap(
             lambda r: st.tuples(
                 st.just(r),
-                st.sets(st.tuples(*[st.integers(-3, 3)] * r), max_size=6),
+                st.one_of(_walks(r), st.lists(st.tuples(*[st.integers(-3, 3)] * r), max_size=6)),
             )
         )
     )
     def test_matches_cube_offsets(self, case):
+        # Equal lists: the same points, each once, in lexicographic order.
         rank, weights = case
-        expected = {
-            tuple(a + b for a, b in zip(w, off))
-            for w in weights
-            for off in product((-1, 0, 1), repeat=rank)
-        }
-        assert indexcalc._shell(weights, rank) == expected
+        assert shell_points(weights, rank) == cube_shell(weights, rank)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [(0,), (1,)], [(0,), (2,)], [(0,), (3,)], [(0,), (4,)], [(0,), (0,)],
+            [(0, 0), (1, 2)], [(0, 0), (1, 3)], [(0, 0), (2, 0)], [(0, 0), (2, 2)],
+            [(0, 0), (2, 4)], [(0, 0), (3, 0)], [(0, 0, 0), (0, 2, 2)], [(0, 0, 0), (2, 0, 2)],
+            [(0, 0, 0), (1, 1, 4)], [(0, 0, 0), (2, 2, 0)],
+        ],
+    )
+    def test_run_merge_edges(self, weights):
+        assert shell_points(weights, len(weights[0])) == cube_shell(weights, len(weights[0]))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_empty(self, rank):
+        assert indexcalc._shell_runs([], rank) == []
+
+    def test_runs_are_maximal(self):
+        # Points 3 apart give touching runs, which are one run; 4 apart, two.
+        assert indexcalc._shell_runs([(0,), (3,), (7,)], 1) == [((), [(-1, 4), (6, 8)])]
+        assert indexcalc._shell_runs([(0, 0), (2, 3)], 2) == [
+            ((-1,), [(-1, 1)]), ((0,), [(-1, 1)]), ((1,), [(-1, 4)]),
+            ((2,), [(2, 4)]), ((3,), [(2, 4)]),
+        ]
 
 
 class TestReducedMultiplicity:
@@ -554,25 +609,25 @@ class TestQRCheck:
 
     def test_rank_two_table_shell_built_once_on_agreement(self, monkeypatch):
         calls = []
-        shell = indexcalc._shell
+        shell = indexcalc._shell_runs
 
         def counting(weights, rank):
             calls.append(rank)
             return shell(weights, rank)
 
-        monkeypatch.setattr(indexcalc, "_shell", counting)
+        monkeypatch.setattr(indexcalc, "_shell_runs", counting)
         P = rect(0, 2, 0, 2)
         report = qr_check(delzant(P), fixed_terms_delzant(P))
         assert report.agree and len(calls) == 1
-        assert [w for w, *_ in report.per_weight_table] == sorted(
-            shell(report.lattice_char.support(), 2)
+        assert [w for w, *_ in report.per_weight_table] == cube_shell(
+            report.lattice_char.support(), 2
         )
         # On disagreement the table covers both supports, so it takes its own shell.
         calls.clear()
         report = qr_check(delzant(rect(0, 1, 0, 1)), fixed_terms_delzant(rect(0, 1, 0, 2)))
         assert not report.agree and len(calls) == 2
         support = set(report.lattice_char.support()) | set(report.fixedpoint_char.support())
-        assert [w for w, *_ in report.per_weight_table] == sorted(shell(support, 2))
+        assert [w for w, *_ in report.per_weight_table] == cube_shell(support, 2)
 
     def test_rank_two_invalid_terms_raise_not_finite(self):
         # flipping one Brion vertex sign leaves a genuine rational function
