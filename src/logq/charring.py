@@ -167,12 +167,10 @@ class Character(_IntMap):
 
     @classmethod
     def from_jsonable(cls, obj) -> "Character":
-        rank = decode_int(obj["rank"])
-        terms = {}
-        for entry in decode_list(obj.get("terms", [])):
-            w = tuple(decode_int(c) for c in decode_list(entry["weight"]))
-            terms[w] = terms.get(w, 0) + decode_int(entry["mult"])
-        return cls(rank, terms)
+        return cls(decode_int(obj["rank"]), [
+            ([decode_int(c) for c in decode_list(e["weight"])], decode_int(e["mult"]))
+            for e in decode_list(obj.get("terms", []))
+        ])
 
 
 class LaurentPoly(_IntMap):
@@ -287,11 +285,9 @@ class SU2Char(_IntMap):
 
     @classmethod
     def from_jsonable(cls, obj) -> "SU2Char":
-        mults = {}
-        for entry in decode_list(obj.get("terms", [])):
-            j = decode_int(entry["j"])
-            mults[j] = mults.get(j, 0) + decode_int(entry["mult"])
-        return cls(mults)
+        return cls([
+            (decode_int(e["j"]), decode_int(e["mult"])) for e in decode_list(obj.get("terms", []))
+        ])
 
 
 def weyl_char(j: int) -> LaurentPoly:

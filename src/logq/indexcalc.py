@@ -132,14 +132,13 @@ def _validated_signs(d: ToricLogData) -> tuple[int, ...]:
 def _facet_hyperplanes(d: ToricLogData) -> list[tuple[tuple[int, ...], int]]:
     """The distinct facet hyperplanes a.x = b of all pieces, as sorted
     coprime integer rows ``(a, b)`` (each piece's :attr:`Halfspace.row`),
-    turned so that the first nonzero coefficient of a is positive."""
+    with a turned by :func:`polyhedra._turned`."""
     seen = set()
     for piece in d.pieces:
         for h in piece.region.halfspaces:
             a, b = h.row
-            if next(filter(None, a)) < 0:
-                a, b = tuple([-c for c in a]), -b
-            seen.add((a, b))
+            t = polyhedra._turned(a)
+            seen.add((t, b) if t == a else (t, -b))
     return sorted(seen)
 
 
@@ -202,12 +201,12 @@ def _certify_finite(d: ToricLogData, o: Sequence[int], rows) -> None:
     for oj, piece in zip(o, d.pieces):
         ge = le = 0
         for h in piece.region.halfspaces:
-            i = index.get(h.row)
-            if i is not None:
-                ge |= 1 << i
+            a, b = h.row
+            t = polyhedra._turned(a)
+            if t == a:
+                ge |= 1 << index[(a, b)]
             else:
-                a, b = h.row
-                le |= 1 << index[(tuple([-c for c in a]), -b)]
+                le |= 1 << index[(t, -b)]
         needs.append((oj, ge, le))
     full = (1 << len(rows)) - 1
     least = None
@@ -261,8 +260,8 @@ def _over_common_denominator(
 ) -> tuple[dict[Weight, int], Counter]:
     """The fixed-point sum as N / prod(1 - t^w), w over the returned multiset
     (the multiset maximum of the terms' weights), with N's zeros dropped.
-    Each weight is first turned to have its first nonzero coordinate
-    positive, by 1/(1 - t^w) = -t^(-w) / (1 - t^(-w)).  Raises
+    Each weight is first turned (:func:`polyhedra._turned`), by
+    1/(1 - t^w) = -t^(-w) / (1 - t^(-w)).  Raises
     :class:`SizeLimit` once N, or one term group's share of it, passes
     ``cap`` terms: each factor can double a share, so an uncapped share
     grows exponentially in the number of weights.  Groups and factors are
@@ -274,9 +273,10 @@ def _over_common_denominator(
     for t in terms:
         sign, mu, weights = t.sign, t.mu, []
         for w in t.weights:
-            if next(filter(None, w)) < 0:
-                sign, mu, w = -sign, tuple(map(sub, mu, w)), tuple([-c for c in w])
-            weights.append(w)
+            v = polyhedra._turned(w)
+            if v != w:
+                sign, mu = -sign, tuple(map(sub, mu, w))
+            weights.append(v)
         part = groups.setdefault(tuple(sorted(weights)), {})
         part[mu] = part.get(mu, 0) + sign
     common: Counter = Counter()

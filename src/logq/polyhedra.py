@@ -1,29 +1,30 @@
 """Exact rational polyhedral geometry at desk scale.
 
-Everything is exact, with no tolerances.  Each halfspace is
-compiled once, when it is built, to a primitive integer row, and one small
-kernel works on those rows: Fourier-Motzkin elimination (feasibility), the
-generalized cross product and the determinant.  FM serves
+Everything is exact, with no tolerances.  Each halfspace is compiled once,
+when it is built, to a primitive integer row (a, b), meaning a.x >= b, and
+one small kernel works on those rows: Fourier-Motzkin elimination
+(feasibility), the generalized cross product and the determinant.  FM serves
 only emptiness (one call) and strong convexity (Gordan's alternative, one
-call on strict rows).  The arrangement sweep finds every cell as a region
-of the restriction of the arrangement to the cell's flat: a flat is an
-integer point over a denominator plus an integer basis, cutting it by a
-hyperplane is one integer elimination, and each region is a region of a
-lower flat pushed off a hyperplane by an integer step too short to cross
-any other.  A nonempty polyhedron is unbounded iff its normals do not span
-or some candidate extreme ray of its recession cone, the cross product of
+call on the rows v.y >= 1).  Hyperplanes and weights are compared up to sign
+in one orientation (:func:`_turned`).  The arrangement sweep finds every cell
+as a region of the restriction of the arrangement to the cell's flat: a flat
+is an integer point over a denominator plus an integer basis, cutting it by
+a hyperplane is one integer elimination, and each region is a region of a
+lower flat pushed off a hyperplane by an integer step too short to cross any
+other.  A nonempty polyhedron is unbounded iff its normals do not span or
+some candidate extreme ray of its recession cone, the cross product of
 rank-1 normals up to sign, lies on the inner side of every facet, so
-emptiness is asked last.  A cell of an arrangement is unbounded
-iff the recession arrangement lists it, without sweeping the bounded
-cells: each unbounded cell is a cell of the central arrangement of the
-normals paired with a cell of the hyperplanes whose normals vanish on it.
-The same list certifies finite support.  The vertex cones (each vertex
-with its active rows) and the arrangement vertex box solve square systems
-by Cramer's rule, as the cross product of the augmented rows, with
-closed-form determinants up to 3x3; and lattice points come from a
-scanline over a box (the last coordinate's integer interval in closed
-form).  Hard caps keep inputs at the intended desk scale; exceeding them
-raises :class:`SizeLimit` rather than silently truncating.
+emptiness is asked last.  A cell of an arrangement is unbounded iff the
+recession arrangement lists it, without sweeping the bounded cells: each
+unbounded cell is a cell of the central arrangement of the normals paired
+with a cell of the hyperplanes whose normals vanish on it.  The same list
+certifies finite support.  The vertex cones (each vertex with its active
+rows) and the arrangement vertex box solve square systems by Cramer's rule,
+as the cross product of the augmented rows, with closed-form determinants up
+to 3x3; and lattice points come from a scanline over a box (the last
+coordinate's integer interval in closed form).  Hard caps keep inputs at the
+intended desk scale; exceeding them raises :class:`SizeLimit` rather than
+silently truncating.
 """
 from __future__ import annotations
 
@@ -41,9 +42,6 @@ HALFSPACE_CAP = 16
 ARRANGEMENT_CAP = 12
 BOX_VOLUME_CAP = 10_000_000
 GENERATOR_CAP = 16
-
-# Relation kinds for the integer constraint kernel: a.x >= b, a.x > b.
-_GE, _GT = 0, 1
 
 
 def _frac(x) -> Fraction:
@@ -154,41 +152,36 @@ class Cell(_Record):
 # Integer constraint kernel.
 
 
-def _normalize_row(coeffs: tuple[int, ...], rhs: int, kind: int):
-    g = gcd(*coeffs, rhs)
+def _normalize_row(a: tuple[int, ...], b: int):
+    g = gcd(*a, b)
     if g > 1:
-        coeffs = tuple(c // g for c in coeffs)
-        rhs = rhs // g
-    return (coeffs, rhs, kind)
+        a = tuple(c // g for c in a)
+        b = b // g
+    return (a, b)
 
 
 def _compress(rows):
-    """Dedupe rows by coefficient vector, keeping the strongest; decide
-    zero-coefficient rows on the spot.  Returns None when infeasible."""
-    best: dict[tuple[int, ...], tuple[int, int]] = {}
-    for coeffs, rhs, kind in rows:
-        if not any(coeffs):
-            if kind == _GT:
-                if not 0 > rhs:
-                    return None
-            else:
-                if not 0 >= rhs:
-                    return None
-            continue
-        cur = best.get(coeffs)
-        if cur is None or rhs > cur[0] or (rhs == cur[0] and kind > cur[1]):
-            best[coeffs] = (rhs, kind)
-    return [(c, rb[0], rb[1]) for c, rb in best.items()]
+    """Dedupe rows (a, b) by a, keeping the largest b; decide zero rows
+    0 >= b on the spot.  Returns None when infeasible."""
+    best: dict[tuple[int, ...], int] = {}
+    for a, b in rows:
+        if not any(a):
+            if b > 0:
+                return None
+        elif best.get(a, b) <= b:
+            best[a] = b
+    return list(best.items())
 
 
-def _fm_feasible(cons, nvars) -> bool:
+def _fm_feasible(rows, nvars) -> bool:
     """Fourier-Motzkin feasibility: True iff some rational point satisfies
-    every integer row (coeffs, rhs, kind) of ``cons``.
+    every integer row ``(a, b)`` of ``rows``, meaning a.x >= b, as
+    :attr:`Halfspace.row`.
 
-    Each variable is eliminated by pairing its positive and negative rows; a
-    pair is strict when either row is, so strict rows stay strict.
+    Each variable is eliminated by pairing its positive and negative rows
+    (Ziegler, *Lectures on Polytopes*, 1.2).
     """
-    system = _compress([_normalize_row(*row) for row in cons])
+    system = _compress([_normalize_row(*row) for row in rows])
     if system is None:
         return False
     for var in range(nvars - 1, -1, -1):
@@ -202,14 +195,12 @@ def _fm_feasible(cons, nvars) -> bool:
             else:
                 rest.append(row)
         derived = rest
-        for (pa, pb, pk) in pos:
+        for pa, pb in pos:
             pj = pa[var]
-            for (na, nb, nk) in neg:
+            for na, nb in neg:
                 nj = -na[var]
-                coeffs = tuple(nj * x + pj * y for x, y in zip(pa, na))
-                rhs = nj * pb + pj * nb
-                kind = _GT if (pk == _GT or nk == _GT) else _GE
-                derived.append(_normalize_row(coeffs, rhs, kind))
+                a = tuple(nj * x + pj * y for x, y in zip(pa, na))
+                derived.append(_normalize_row(a, nj * pb + pj * nb))
         system = _compress(derived)
         if system is None:
             return False
@@ -225,6 +216,13 @@ def _primitive(vec) -> tuple[int, ...]:
     if g > 1:
         ints = [c // g for c in ints]
     return tuple(ints)
+
+
+def _turned(a: tuple[int, ...]) -> tuple[int, ...]:
+    """Whichever of a and -a has a positive first nonzero coordinate (a
+    itself when a is zero): the orientation in which hyperplanes and
+    weights are compared up to sign.  ``_turned(a) != a`` iff a was turned."""
+    return max(a, tuple([-c for c in a]))
 
 
 def _det(m) -> int:
@@ -282,10 +280,6 @@ def _check_caps(P: Polyhedron, op: str) -> None:
         )
 
 
-def _ge_rows(P: Polyhedron):
-    return [h.row + (_GE,) for h in P.halfspaces]
-
-
 # ---------------------------------------------------------------------------
 # Public operations.
 
@@ -293,7 +287,7 @@ def _ge_rows(P: Polyhedron):
 def is_empty(P: Polyhedron) -> bool:
     """Exact emptiness test: True iff no rational point satisfies all halfspaces."""
     _check_caps(P, "is_empty")
-    return not _fm_feasible(_ge_rows(P), P.rank)
+    return not _fm_feasible([h.row for h in P.halfspaces], P.rank)
 
 
 def is_bounded(P: Polyhedron) -> bool:
@@ -309,7 +303,7 @@ def is_bounded(P: Polyhedron) -> bool:
     """
     _check_caps(P, "is_bounded")
     normals = [h.row[0] for h in P.halfspaces]
-    dirs = sorted({max(a, tuple([-c for c in a])) for a in normals})
+    dirs = sorted({_turned(a) for a in normals})
     spans = False
     for subset in combinations(dirs, P.rank - 1):
         d = _cross(subset, P.rank)
@@ -398,8 +392,9 @@ def strongly_convex(vectors: Sequence[Sequence]) -> bool:
 
     Equivalent to the cone they generate containing no line.  By Gordan's
     theorem of the alternative this holds iff some y has v.y > 0 for every
-    generator v, which is one Fourier-Motzkin feasibility call on strict
-    integer rows; a zero generator makes its row 0 > 0 infeasible.
+    generator v, that is (scaling y) iff some y has v.y >= 1 for every v:
+    one Fourier-Motzkin feasibility call on the rows ``(v, 1)``, made
+    primitive; a zero generator makes its row 0 >= 1 infeasible.
     """
     vecs = [tuple(_frac(c) for c in v) for v in vectors]
     if not vecs:
@@ -412,7 +407,8 @@ def strongly_convex(vectors: Sequence[Sequence]) -> bool:
     for v in vecs:
         if len(v) != dim:
             raise ValueError("generators must share a common ambient dimension")
-    return _fm_feasible([(_primitive(v), 0, _GT) for v in vecs], dim)
+    rows = [_primitive(v + (1,)) for v in vecs]
+    return _fm_feasible([(r[:-1], r[-1]) for r in rows], dim)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +519,7 @@ def _unbounded_cells(hps_int, rank):
     for a, _ in hps_int:
         g = gcd(*a)
         a = tuple([c // g for c in a])
-        key = max(a, tuple([-c for c in a]))
+        key = _turned(a)
         where.append((1 << dirs.setdefault(key, len(dirs)), key == a))
     central = _sweep([(c, 0) for c in dirs], rank)
     spans = any(_det(m) for m in combinations(dirs, rank))

@@ -382,6 +382,24 @@ class TestCharacterJson:
         assert obj["terms"][0]["mult"] == f"int:{2**70}"
         assert Character.from_jsonable(obj) == c
 
+    def test_repeated_weights_add_up_or_cancel(self):
+        entries = [([1, 0], 2), ([0, 1], 4), ([1, 0], 3), ([0, 1], -4)]
+        obj = {"rank": 2, "terms": [{"weight": w, "mult": m} for w, m in entries]}
+        c = Character.from_jsonable(obj)
+        assert c == Character(2, {(1, 0): 5})
+        assert dict(c.terms) == {(1, 0): 5}
+        obj["terms"] = obj["terms"][1::2]
+        assert not Character.from_jsonable(obj).terms
+
+    def test_su2_repeated_weights_add_up_or_cancel(self):
+        entries = [(2, 1), (0, -1), (2, 2), (0, 1)]
+        obj = {"terms": [{"j": j, "mult": m} for j, m in entries]}
+        s = SU2Char.from_jsonable(obj)
+        assert s == SU2Char({2: 3})
+        assert dict(s.mults) == {2: 3}
+        obj["terms"] = obj["terms"][1::2]
+        assert not SU2Char.from_jsonable(obj).mults
+
 
 # The three integer maps: (class, name of the map property, key strategy for a rank).
 INT_MAPS = {

@@ -680,20 +680,19 @@ class TestQRCheckCommand:
     def test_delzant_repeats_no_polyhedral_work(self, tmp_path, capsys, monkeypatch):
         # On the square [0, 2]^2 (3x3 lattice points), FM runs once for delzant's
         # EmptyPiece check and once for validate's report; the vertex cones
-        # carry the integer vertices, so none is rebuilt from Fractions; and
-        # the vertex cones and the arrangement vertex box solve 6 systems each.
+        # and the arrangement vertex box solve 6 systems each.
         # Rows are made primitive once per halfspace as it is decoded (4) and
         # once per Delzant edge (8); the facet rows are not rebuilt as
         # halfspaces.
-        calls = dict.fromkeys(("_fm_feasible", "_integer_point", "_solve", "_primitive"), 0)
+        calls = dict.fromkeys(("_fm_feasible", "_solve", "_primitive"), 0)
         for name in calls:
-            def counting(*args, _name=name, _fn=getattr(polyhedra, name, None)):
+            def counting(*args, _name=name, _fn=getattr(polyhedra, name)):
                 calls[_name] += 1
                 return _fn(*args)
 
-            monkeypatch.setattr(polyhedra, name, counting, raising=False)
+            monkeypatch.setattr(polyhedra, name, counting)
         assert run(tmp_path, "qr-check", square_config(2)) == 0
-        assert calls == {"_fm_feasible": 2, "_integer_point": 0, "_solve": 12, "_primitive": 12}
+        assert calls == {"_fm_feasible": 2, "_solve": 12, "_primitive": 12}
 
     def test_toric_kind_needs_terms(self, tmp_path, capsys):
         cfg = {

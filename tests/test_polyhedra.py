@@ -742,7 +742,7 @@ def _unbounded_masks(hps):
         ]
         if any(
             polyhedra._fm_feasible(
-                [(a[:j] + a[j + 1:], -u * a[j], polyhedra._GE) for a in cone], rank - 1
+                [(a[:j] + a[j + 1:], -u * a[j]) for a in cone], rank - 1
             )
             for j in range(rank)
             for u in (1, -1)
@@ -810,6 +810,20 @@ class TestDet:
     def test_past_rank_cap(self):
         with pytest.raises(ValueError):
             polyhedra._det([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+
+
+class TestTurned:
+    @pytest.mark.parametrize(
+        "a",
+        [(3,), (-2,), (0, 5), (0, -1), (-4, 7), (2, -3),
+         (0, 0, -6), (0, 0, 1), (0, -3, 2), (0, 3, -2), (-1, 0, 0), (5, -5, 1)],
+    )
+    def test_one_orientation_up_to_sign(self, a):
+        neg = tuple(-c for c in a)
+        t = polyhedra._turned(a)
+        assert t in (a, neg)
+        assert next(c for c in t if c) > 0
+        assert polyhedra._turned(neg) == t
 
 
 # ---------------------------------------------------------------------------
